@@ -10,7 +10,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dsig_core::Signature;
-use dsig_serve::{PipelinedClient, ServeClient};
+use dsig_serve::{Screen, ServeClient};
 
 /// CI gate: the batched campaign fast path must beat the per-device
 /// reference by at least this factor at equal thread count (full runs only —
@@ -123,10 +123,10 @@ impl MuxLoad {
     }
 }
 
-/// The blocking arm of the mux shape: every tester thread funnels its
-/// single-signature requests through one mutex-guarded [`ServeClient`] —
-/// one connection, at most one request in flight, exactly the semantics
-/// untagged clients live under.
+/// The serialized arm of the mux shape: every tester thread funnels its
+/// single-signature requests through one mutex-guarded [`ServeClient`],
+/// each a blocking call made under the lock — one connection, at most one
+/// request in flight, exactly the semantics untagged clients live under.
 fn drive_mux_serialized(addr: SocketAddr, key: u64, pool: &Arc<Vec<Signature>>, load: &MuxLoad) -> Vec<Duration> {
     let client = Mutex::new(ServeClient::connect(addr).expect("serialized client connect"));
     std::thread::scope(|scope| {
@@ -157,11 +157,11 @@ fn drive_mux_serialized(addr: SocketAddr, key: u64, pool: &Arc<Vec<Signature>>, 
 }
 
 /// The pipelined arm of the mux shape: the same testers share one
-/// [`PipelinedClient`], each putting its whole request budget in flight
+/// [`ServeClient`], each putting its whole request budget in flight
 /// before waiting on any ticket. Latencies span issue-to-completion, so they
 /// include pipeline queueing — the throughput is what the gate compares.
 fn drive_mux_pipelined(addr: SocketAddr, key: u64, pool: &Arc<Vec<Signature>>, load: &MuxLoad) -> Vec<Duration> {
-    let client = PipelinedClient::connect(addr).expect("pipelined client connect");
+    let client = ServeClient::connect(addr).expect("pipelined client connect");
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..load.testers)
             .map(|tester| {

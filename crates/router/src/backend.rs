@@ -9,7 +9,9 @@ use std::time::{Duration, Instant};
 
 use dsig_core::{AcceptanceBand, Signature};
 use dsig_obs::{EventLog, MetricsSnapshot, TraceLog};
-use dsig_serve::{GoldenRecord, PipelinedClient, RetestRequest, RetestScore, ScoreResult, ServeError, ServeHandle};
+use dsig_serve::{
+    GoldenRecord, ObsScrape, RetestRequest, RetestScore, ScoreResult, Screen, ServeClient, ServeError, ServeHandle,
+};
 
 /// Backoff policy of the per-backend health record: the `n`-th consecutive
 /// failure marks the backend down for `base_backoff * 2^(n-1)`, capped at
@@ -55,15 +57,15 @@ struct Health {
 enum Transport {
     /// A `dsig-serve` process reached over **one multiplexed connection**:
     /// every concurrently forwarding router thread pipelines onto the same
-    /// [`PipelinedClient`], so the fan-in from thousands of downstream
+    /// [`ServeClient`], so the fan-in from thousands of downstream
     /// testers rides a single upstream stream per backend. The slot is
     /// `None` until first use and after a transport failure (the next
     /// operation redials).
     Tcp {
         addr: SocketAddr,
-        mux: Mutex<Option<PipelinedClient>>,
+        mux: Mutex<Option<ServeClient>>,
     },
-    /// An in-process shard set (spawned via [`ServeHandle::spawn`]) — the
+    /// An in-process scoring pool (spawned via [`ServeHandle::spawn`]) — the
     /// no-TCP path tests and single-process deployments use. The `killed`
     /// flag simulates a dead process: once set, every operation fails like a
     /// torn-down connection would.
@@ -107,7 +109,7 @@ impl Backend {
         }
     }
 
-    /// An in-process backend over an already spawned shard set, with an
+    /// An in-process backend over an already spawned scoring pool, with an
     /// explicit rendezvous id (in-process routers number their backends
     /// `0, 1, 2, …`).
     pub fn local(id: u64, handle: ServeHandle) -> Backend {
@@ -210,12 +212,12 @@ impl Backend {
 
     /// Clones the backend's shared multiplexed connection, dialing it on
     /// first use (or after a transport failure cleared it).
-    fn client(addr: SocketAddr, mux: &Mutex<Option<PipelinedClient>>) -> Result<PipelinedClient, ServeError> {
+    fn client(addr: SocketAddr, mux: &Mutex<Option<ServeClient>>) -> Result<ServeClient, ServeError> {
         let mut slot = mux.lock().expect("backend mux lock poisoned");
         if let Some(client) = &*slot {
             return Ok(client.clone());
         }
-        let client = PipelinedClient::connect(addr)?;
+        let client = ServeClient::connect(addr)?;
         *slot = Some(client.clone());
         Ok(client)
     }
@@ -224,7 +226,7 @@ impl Backend {
     /// errors keep it: the stream itself is fine). The pipelined client
     /// already retried once internally, so a transport error here means the
     /// backend is genuinely unreachable right now.
-    fn settle<T>(mux: &Mutex<Option<PipelinedClient>>, result: Result<T, ServeError>) -> Result<T, ServeError> {
+    fn settle<T>(mux: &Mutex<Option<ServeClient>>, result: Result<T, ServeError>) -> Result<T, ServeError> {
         match &result {
             Ok(_) | Err(ServeError::UnknownGolden(_) | ServeError::Remote(_)) => {}
             Err(_) => *mux.lock().expect("backend mux lock poisoned") = None,

@@ -1,26 +1,16 @@
-//! The TCP clients of a [`crate::Router`].
+//! The TCP client of a [`crate::Router`].
 //!
-//! The router speaks the `dsig-serve` wire protocol, so these are thin
-//! wrappers that add the router's error vocabulary: [`RouterClient`] over
-//! the blocking [`ServeClient`] (one request in flight), and
-//! [`PipelinedRouterClient`] over the multiplexed
-//! [`dsig_serve::PipelinedClient`] (N requests in flight on one connection,
-//! matched by request id). Both inherit the one-shot transparent reconnect —
-//! see the `dsig_serve::client` module docs for the exact resubmission
-//! rules under pipelining.
+//! The router speaks the `dsig-serve` wire protocol, so its client is the
+//! serving tier's multiplexed [`dsig_serve::ServeClient`] under a second
+//! name: N requests in flight on one connection, the same one-redial retry
+//! rules (see the `dsig_serve::client` module docs), and [`ServeError`]s.
+//! Code that wants the router's vocabulary converts with
+//! `RouterError::from`, which maps an unknown golden onto
+//! [`crate::RouterError::UnknownGolden`].
+//!
+//! [`ServeError`]: dsig_serve::ServeError
 
-use std::net::{SocketAddr, ToSocketAddrs};
-
-use dsig_core::{AcceptanceBand, Signature};
-use dsig_obs::{EventLog, HealthReport, MetricsSnapshot, TraceLog};
-use dsig_serve::{
-    FleetAdmin, FleetRoster, ObsScrape, PipelinedClient, RetestRequest, RetestScore, ScoreResult, Screen, ServeClient,
-    Ticket,
-};
-
-use crate::error::Result;
-
-/// A blocking client over one TCP connection to a routing tier.
+/// The TCP client of a routing tier.
 ///
 /// # Examples
 ///
@@ -32,7 +22,7 @@ use crate::error::Result;
 /// use cut_filters::BiquadParams;
 /// use dsig_core::{AcceptanceBand, TestSetup};
 /// use dsig_router::{Backend, Router, RouterClient, RouterConfig, RouterStore};
-/// use dsig_serve::{GoldenStore, ServeConfig, ServeHandle};
+/// use dsig_serve::{GoldenStore, Screen, ServeConfig, ServeHandle};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Two in-process scoring backends fronted by a TCP router.
@@ -49,562 +39,10 @@ use crate::error::Result;
 ///
 /// // Production test: capture a signature, upload, decide.
 /// let observed = setup.signature_of(&reference.with_f0_shift_pct(10.0), 7)?;
-/// let mut client = RouterClient::connect(router.local_addr())?;
+/// let client = RouterClient::connect(router.local_addr())?;
 /// let score = client.screen_one(key, &observed)?;
 /// assert!(score.ndf > 0.0);
 /// # Ok(())
 /// # }
 /// ```
-pub struct RouterClient {
-    inner: ServeClient,
-}
-
-impl RouterClient {
-    /// Connects to a routing tier.
-    ///
-    /// # Errors
-    /// Returns [`crate::RouterError::Serve`] on connection errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        Ok(RouterClient {
-            inner: ServeClient::connect(addr)?,
-        })
-    }
-
-    /// The router address this client is connected to (and reconnects to).
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.inner.peer_addr()
-    }
-
-    /// Scores a batch of observed signatures against the golden stored under
-    /// `golden_key`, routed to the owning backend, returning one
-    /// [`ScoreResult`] per signature in request order — bit-identical to
-    /// direct [`dsig_core::TestFlow`] scoring at every backend count.
-    ///
-    /// # Errors
-    /// Returns [`crate::RouterError::UnknownGolden`] when neither the router
-    /// store nor any backend holds the fingerprint, and
-    /// [`crate::RouterError::Serve`] on transport or remote failures.
-    pub fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        self.inner.screen(golden_key, signatures).map_err(Into::into)
-    }
-
-    /// Scores a single signature (a one-element [`RouterClient::screen`]).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
-    }
-
-    /// Scores a batch where each signature names its own golden (`DSRM`) —
-    /// the router splits it into per-backend sub-batches, forwards them
-    /// concurrently and reassembles the scores in request order.
-    ///
-    /// # Errors
-    /// An unknown fingerprint anywhere fails the whole batch. Unlike
-    /// [`RouterClient::screen`] — where the requested key is known client-side
-    /// and surfaces as [`crate::RouterError::UnknownGolden`] — a multi-batch
-    /// error arrives as [`crate::RouterError::Serve`] wrapping the remote
-    /// message, which names the offending fingerprint (the wire error body
-    /// carries no key field). Transport failures as for
-    /// [`RouterClient::screen`].
-    pub fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        self.inner.screen_multi(items).map_err(Into::into)
-    }
-
-    /// Screens an adaptive-retest batch (`DSRT`) through the router, which
-    /// forwards it to the golden's owning backend with failover; marginal
-    /// devices are re-decided server-side from their averaged repeats.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        self.inner.screen_retest(request).map_err(Into::into)
-    }
-
-    /// Stores a golden on the router, which replicates it to the owning
-    /// backends (`DSGP`).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn push_golden(&mut self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        self.inner.push_golden(key, band, golden).map_err(Into::into)
-    }
-
-    /// Reads a golden record back through the router (`DSGF`), which resolves
-    /// it from its store or from the owning backends.
-    ///
-    /// # Errors
-    /// Returns [`crate::RouterError::UnknownGolden`] when nobody holds it.
-    pub fn fetch_golden(&mut self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        self.inner.fetch_golden(key).map_err(Into::into)
-    }
-
-    /// Scrapes the router's metrics (`DSMX`): per-backend forward/failover/
-    /// retry counters, the backoff gauge, fan-out latency and the
-    /// refresh-on-miss count.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`] on transport or remote failures.
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot> {
-        self.inner.metrics().map_err(Into::into)
-    }
-
-    /// Drains the router's buffered trace spans (`DSTX`): the routing spans
-    /// recorded for sampled requests since the last scrape.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`] on transport or remote failures.
-    pub fn traces(&mut self) -> Result<TraceLog> {
-        self.inner.traces().map_err(Into::into)
-    }
-
-    /// Scrapes the aggregated fleet metrics (`DSFM`): every backend's
-    /// snapshot under `backend.<label>.`, the cross-backend rollup under
-    /// `fleet.`, and the router's own registry unprefixed.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`] on transport or remote failures.
-    pub fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
-        self.inner.fleet_metrics().map_err(Into::into)
-    }
-
-    /// Drains the aggregated fleet traces (`DSFT`): every reachable
-    /// backend's spans plus the router's own. Consuming and therefore not
-    /// resubmitted on a dead connection.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`] on transport or remote failures.
-    pub fn fleet_traces(&mut self) -> Result<TraceLog> {
-        self.inner.fleet_traces().map_err(Into::into)
-    }
-
-    /// Drains the router's buffered events (`DSEX`): backend
-    /// backoff/recovery transitions, refresh-on-miss records. Consuming and
-    /// therefore not resubmitted on a dead connection.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`] on transport or remote failures.
-    pub fn events(&mut self) -> Result<EventLog> {
-        self.inner.events().map_err(Into::into)
-    }
-
-    /// Runs a fleet health check (`DSHC`): the router scrapes its backends
-    /// and verdicts the rollup against its configured SLO policy. The
-    /// report carries the live membership epoch.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`] on transport or remote failures.
-    pub fn health(&mut self) -> Result<HealthReport> {
-        self.inner.health().map_err(Into::into)
-    }
-
-    /// Admits the backend at `label` (a dialable `host:port`, or an
-    /// existing member's label to reactivate it) into the fleet (`DSAQ`
-    /// join). The router migrates the goldens the newcomer owns onto it
-    /// before it enters the rotation. Idempotent by label.
-    ///
-    /// # Errors
-    /// Rejected labels surface as [`crate::RouterError::Serve`] wrapping
-    /// the remote message; transport failures as for
-    /// [`RouterClient::screen`].
-    pub fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
-        self.inner.fleet_join(label).map_err(Into::into)
-    }
-
-    /// Removes the member at `label` from the fleet (`DSAQ` leave), after
-    /// its goldens re-replicate to the survivors. Idempotent; the last
-    /// member cannot leave.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
-        self.inner.fleet_leave(label).map_err(Into::into)
-    }
-
-    /// Drains the member at `label` (`DSAQ` drain): new work steers away
-    /// while it stays rostered as a failover last resort. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
-        self.inner.fleet_drain(label).map_err(Into::into)
-    }
-
-    /// Reads the live roster (`DSAQ` list): membership epoch plus every
-    /// member's label, id and state.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_roster(&mut self) -> Result<FleetRoster> {
-        self.inner.fleet_roster().map_err(Into::into)
-    }
-}
-
-impl Screen for RouterClient {
-    type Error = crate::RouterError;
-
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        RouterClient::screen(self, golden_key, signatures)
-    }
-
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        RouterClient::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        RouterClient::screen_multi(self, items)
-    }
-
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        RouterClient::screen_retest(self, request)
-    }
-}
-
-impl ObsScrape for RouterClient {
-    type Error = crate::RouterError;
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot> {
-        RouterClient::metrics(self)
-    }
-
-    fn traces(&mut self) -> Result<TraceLog> {
-        RouterClient::traces(self)
-    }
-
-    fn events(&mut self) -> Result<EventLog> {
-        RouterClient::events(self)
-    }
-
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
-        RouterClient::fleet_metrics(self)
-    }
-
-    fn fleet_traces(&mut self) -> Result<TraceLog> {
-        RouterClient::fleet_traces(self)
-    }
-
-    fn health(&mut self) -> Result<HealthReport> {
-        RouterClient::health(self)
-    }
-}
-
-impl FleetAdmin for RouterClient {
-    type Error = crate::RouterError;
-
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
-        RouterClient::fleet_join(self, label)
-    }
-
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
-        RouterClient::fleet_leave(self, label)
-    }
-
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
-        RouterClient::fleet_drain(self, label)
-    }
-
-    fn fleet_roster(&mut self) -> Result<FleetRoster> {
-        RouterClient::fleet_roster(self)
-    }
-}
-
-/// The multiplexed client of a routing tier: one connection, many requests
-/// in flight, responses matched by the echoed request id. Cheap to clone;
-/// all clones share the connection, so a whole test floor's worth of
-/// threads fans in over one stream to the router.
-///
-/// Methods mirror [`RouterClient`] with `&self` receivers; the `start_*` /
-/// `wait_*` pairs keep many requests in flight from a single thread.
-pub struct PipelinedRouterClient {
-    inner: PipelinedClient,
-}
-
-impl Clone for PipelinedRouterClient {
-    fn clone(&self) -> Self {
-        PipelinedRouterClient {
-            inner: self.inner.clone(),
-        }
-    }
-}
-
-impl PipelinedRouterClient {
-    /// Connects to a routing tier.
-    ///
-    /// # Errors
-    /// Returns [`crate::RouterError::Serve`] on connection errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        Ok(PipelinedRouterClient {
-            inner: PipelinedClient::connect(addr)?,
-        })
-    }
-
-    /// The router address this client is connected to (and reconnects to).
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.inner.peer_addr()
-    }
-
-    /// Starts a routed screening request; redeem with
-    /// [`PipelinedRouterClient::wait_screen`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn start_screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Ticket> {
-        self.inner.start_screen(golden_key, signatures).map_err(Into::into)
-    }
-
-    /// Redeems a [`PipelinedRouterClient::start_screen`] ticket.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn wait_screen(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
-        self.inner.wait_screen(ticket, expected, golden_key).map_err(Into::into)
-    }
-
-    /// Starts a routed adaptive-retest request; redeem with
-    /// [`PipelinedRouterClient::wait_retest`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen_retest`].
-    pub fn start_retest(&self, request: &RetestRequest) -> Result<Ticket> {
-        self.inner.start_retest(request).map_err(Into::into)
-    }
-
-    /// Redeems a [`PipelinedRouterClient::start_retest`] ticket.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen_retest`].
-    pub fn wait_retest(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
-        self.inner.wait_retest(ticket, expected, golden_key).map_err(Into::into)
-    }
-
-    /// Scores a batch against one golden, routed — the pipelined
-    /// [`RouterClient::screen`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        self.inner.screen(golden_key, signatures).map_err(Into::into)
-    }
-
-    /// Scores a single signature (a one-element
-    /// [`PipelinedRouterClient::screen`]).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen`].
-    pub fn screen_one(&self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
-    }
-
-    /// Scores a multi-golden batch (`DSRM`), routed — the pipelined
-    /// [`RouterClient::screen_multi`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen_multi`].
-    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        self.inner.screen_multi(items).map_err(Into::into)
-    }
-
-    /// Screens an adaptive-retest batch (`DSRT`), routed — the pipelined
-    /// [`RouterClient::screen_retest`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::screen_retest`].
-    pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        self.inner.screen_retest(request).map_err(Into::into)
-    }
-
-    /// Stores a golden on the router, which replicates it to the owning
-    /// backends (`DSGP`).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::push_golden`].
-    pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        self.inner.push_golden(key, band, golden).map_err(Into::into)
-    }
-
-    /// Reads a golden record back through the router (`DSGF`).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fetch_golden`].
-    pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        self.inner.fetch_golden(key).map_err(Into::into)
-    }
-
-    /// Scrapes the router's metrics (`DSMX`).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::metrics`].
-    pub fn metrics(&self) -> Result<MetricsSnapshot> {
-        self.inner.metrics().map_err(Into::into)
-    }
-
-    /// Drains the router's buffered trace spans (`DSTX`) — not resubmitted
-    /// on a dead connection (a drain is not idempotent).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::traces`].
-    pub fn traces(&self) -> Result<TraceLog> {
-        self.inner.traces().map_err(Into::into)
-    }
-
-    /// Scrapes the aggregated fleet metrics (`DSFM`) — the pipelined
-    /// [`RouterClient::fleet_metrics`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_metrics`].
-    pub fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
-        self.inner.fleet_metrics().map_err(Into::into)
-    }
-
-    /// Drains the aggregated fleet traces (`DSFT`) — not resubmitted on a
-    /// dead connection (a drain is not idempotent).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_traces`].
-    pub fn fleet_traces(&self) -> Result<TraceLog> {
-        self.inner.fleet_traces().map_err(Into::into)
-    }
-
-    /// Drains the router's buffered events (`DSEX`) — not resubmitted on a
-    /// dead connection (a drain is not idempotent).
-    ///
-    /// # Errors
-    /// As for [`RouterClient::events`].
-    pub fn events(&self) -> Result<EventLog> {
-        self.inner.events().map_err(Into::into)
-    }
-
-    /// Runs a fleet health check (`DSHC`) — the pipelined
-    /// [`RouterClient::health`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::health`].
-    pub fn health(&self) -> Result<HealthReport> {
-        self.inner.health().map_err(Into::into)
-    }
-
-    /// Admits the backend at `label` into the fleet (`DSAQ` join) — the
-    /// pipelined [`RouterClient::fleet_join`]. Idempotent by label and
-    /// therefore resubmit-safe under the mux's transparent reconnect.
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
-        self.inner.fleet_join(label).map_err(Into::into)
-    }
-
-    /// Removes the member at `label` (`DSAQ` leave) — the pipelined
-    /// [`RouterClient::fleet_leave`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
-        self.inner.fleet_leave(label).map_err(Into::into)
-    }
-
-    /// Drains the member at `label` (`DSAQ` drain) — the pipelined
-    /// [`RouterClient::fleet_drain`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
-        self.inner.fleet_drain(label).map_err(Into::into)
-    }
-
-    /// Reads the live roster (`DSAQ` list) — the pipelined
-    /// [`RouterClient::fleet_roster`].
-    ///
-    /// # Errors
-    /// As for [`RouterClient::fleet_join`].
-    pub fn fleet_roster(&self) -> Result<FleetRoster> {
-        self.inner.fleet_roster().map_err(Into::into)
-    }
-}
-
-impl Screen for PipelinedRouterClient {
-    type Error = crate::RouterError;
-
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        PipelinedRouterClient::screen(self, golden_key, signatures)
-    }
-
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        PipelinedRouterClient::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        PipelinedRouterClient::screen_multi(self, items)
-    }
-
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        PipelinedRouterClient::screen_retest(self, request)
-    }
-}
-
-impl ObsScrape for PipelinedRouterClient {
-    type Error = crate::RouterError;
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot> {
-        PipelinedRouterClient::metrics(self)
-    }
-
-    fn traces(&mut self) -> Result<TraceLog> {
-        PipelinedRouterClient::traces(self)
-    }
-
-    fn events(&mut self) -> Result<EventLog> {
-        PipelinedRouterClient::events(self)
-    }
-
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
-        PipelinedRouterClient::fleet_metrics(self)
-    }
-
-    fn fleet_traces(&mut self) -> Result<TraceLog> {
-        PipelinedRouterClient::fleet_traces(self)
-    }
-
-    fn health(&mut self) -> Result<HealthReport> {
-        PipelinedRouterClient::health(self)
-    }
-}
-
-impl FleetAdmin for PipelinedRouterClient {
-    type Error = crate::RouterError;
-
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
-        PipelinedRouterClient::fleet_join(self, label)
-    }
-
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
-        PipelinedRouterClient::fleet_leave(self, label)
-    }
-
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
-        PipelinedRouterClient::fleet_drain(self, label)
-    }
-
-    fn fleet_roster(&mut self) -> Result<FleetRoster> {
-        PipelinedRouterClient::fleet_roster(self)
-    }
-}
-
-impl dsig_engine::RemoteScorer for PipelinedRouterClient {
-    fn screen_remote(
-        &self,
-        golden_key: u64,
-        signatures: &[Signature],
-    ) -> dsig_core::Result<Vec<dsig_engine::RemoteScore>> {
-        dsig_engine::RemoteScorer::screen_remote(&self.inner, golden_key, signatures)
-    }
-
-    fn retest_remote(
-        &self,
-        golden_key: u64,
-        policy: &dsig_core::RetestPolicy,
-        devices: &[dsig_engine::RetestDevice],
-    ) -> dsig_core::Result<Vec<dsig_engine::RemoteRetest>> {
-        dsig_engine::RemoteScorer::retest_remote(&self.inner, golden_key, policy, devices)
-    }
-}
+pub type RouterClient = dsig_serve::ServeClient;

@@ -5,9 +5,7 @@
 //!
 //! Backends are addressed **by label** (`local-<id>` for in-process
 //! backends, `host:port` for TCP ones). Labels stay valid across
-//! membership changes; the index-based methods are deprecated shims that
-//! resolve against the current membership order and go stale the moment a
-//! backend joins or leaves.
+//! membership changes.
 
 use std::sync::Arc;
 
@@ -38,7 +36,7 @@ impl RouterHandle {
     }
 
     /// Spawns `backends` in-process scoring backends — each its own
-    /// [`GoldenStore`] and shard set ([`ServeHandle::spawn`]), no TCP
+    /// [`GoldenStore`] and scoring pool ([`ServeHandle::spawn`]), no TCP
     /// anywhere — and fronts them with a router. This is the fixture the
     /// loopback tests and the `router_throughput` bench build their fleets
     /// with.
@@ -99,13 +97,6 @@ impl RouterHandle {
         self.core.rank_labels(key)
     }
 
-    /// The rendezvous ranking of a fingerprint as member **indices** into
-    /// the current membership order.
-    #[deprecated(since = "0.2.0", note = "indices go stale under live membership; use rank_labels")]
-    pub fn rank(&self, key: u64) -> Vec<usize> {
-        self.core.rank(key)
-    }
-
     /// Kills the member at `label` (see [`Backend::kill`]): subsequent
     /// requests routed to it fail and fail over to its replicas.
     ///
@@ -132,48 +123,6 @@ impl RouterHandle {
     /// Rejects an unknown label.
     pub fn backend_is_down(&self, label: &str) -> Result<bool> {
         self.core.down_by_label(label)
-    }
-
-    /// Resolves the label of the member at `index` in membership order —
-    /// the bridge the deprecated index shims use.
-    fn label_at(&self, index: usize) -> String {
-        self.core.backend_labels()[index].clone()
-    }
-
-    /// Kills backend `index` (membership order).
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    #[deprecated(since = "0.2.0", note = "indices go stale under live membership; use kill(label)")]
-    pub fn kill_backend(&self, index: usize) {
-        self.core
-            .kill_by_label(&self.label_at(index))
-            .expect("label resolved from the live membership");
-    }
-
-    /// Revives backend `index` (membership order).
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    #[deprecated(since = "0.2.0", note = "indices go stale under live membership; use revive(label)")]
-    pub fn revive_backend(&self, index: usize) {
-        self.core
-            .revive_by_label(&self.label_at(index))
-            .expect("label resolved from the live membership");
-    }
-
-    /// Whether backend `index` (membership order) is currently marked down.
-    ///
-    /// # Panics
-    /// Panics when `index` is out of range.
-    #[deprecated(
-        since = "0.2.0",
-        note = "indices go stale under live membership; use backend_is_down(label)"
-    )]
-    pub fn backend_down(&self, index: usize) -> bool {
-        self.core
-            .down_by_label(&self.label_at(index))
-            .expect("label resolved from the live membership")
     }
 
     /// Admits an explicit [`Backend`] (TCP or in-process) into the live
@@ -329,7 +278,7 @@ impl RouterHandle {
 
     /// Screens an adaptive-retest batch (`DSRT`): routed to the golden's
     /// owning backend (with the same deterministic failover chain as
-    /// [`RouterHandle::screen`]), whose shards rerun marginal devices with
+    /// [`RouterHandle::screen`]), which reruns marginal devices with
     /// averaged repeats before verdicting.
     ///
     /// # Errors
@@ -342,19 +291,15 @@ impl RouterHandle {
 impl Screen for RouterHandle {
     type Error = crate::RouterError;
 
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+    fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
         RouterHandle::screen(self, golden_key, signatures)
     }
 
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        RouterHandle::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
+    fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
         RouterHandle::screen_multi(self, items)
     }
 
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+    fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
         RouterHandle::screen_retest(self, request)
     }
 }
@@ -362,27 +307,27 @@ impl Screen for RouterHandle {
 impl ObsScrape for RouterHandle {
     type Error = crate::RouterError;
 
-    fn metrics(&mut self) -> Result<MetricsSnapshot> {
+    fn metrics(&self) -> Result<MetricsSnapshot> {
         Ok(RouterHandle::metrics(self))
     }
 
-    fn traces(&mut self) -> Result<TraceLog> {
+    fn traces(&self) -> Result<TraceLog> {
         Ok(RouterHandle::traces(self))
     }
 
-    fn events(&mut self) -> Result<EventLog> {
+    fn events(&self) -> Result<EventLog> {
         Ok(RouterHandle::events(self))
     }
 
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
+    fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
         Ok(RouterHandle::fleet_metrics(self))
     }
 
-    fn fleet_traces(&mut self) -> Result<TraceLog> {
+    fn fleet_traces(&self) -> Result<TraceLog> {
         Ok(RouterHandle::fleet_traces(self))
     }
 
-    fn health(&mut self) -> Result<HealthReport> {
+    fn health(&self) -> Result<HealthReport> {
         Ok(RouterHandle::health(self))
     }
 }
@@ -390,19 +335,19 @@ impl ObsScrape for RouterHandle {
 impl FleetAdmin for RouterHandle {
     type Error = crate::RouterError;
 
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
+    fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
         RouterHandle::fleet_join(self, label)
     }
 
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
+    fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
         RouterHandle::fleet_leave(self, label)
     }
 
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
+    fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
         RouterHandle::fleet_drain(self, label)
     }
 
-    fn fleet_roster(&mut self) -> Result<FleetRoster> {
+    fn fleet_roster(&self) -> Result<FleetRoster> {
         Ok(RouterHandle::fleet_roster(self))
     }
 }
@@ -812,37 +757,11 @@ mod tests {
     }
 
     #[test]
-    fn unknown_labels_are_rejected_and_index_shims_still_resolve() {
+    fn unknown_labels_are_rejected() {
         let router = fleet(2, 2);
         assert!(router.kill("no-such-backend").is_err());
         assert!(router.revive("no-such-backend").is_err());
         assert!(router.backend_is_down("no-such-backend").is_err());
-        let golden = sig(&[(1, 100e-6)]);
-        router.push_golden(0x51, golden.clone(), band(0.05)).unwrap();
-        // The deprecated index addressing keeps working for one release,
-        // resolving through the membership order.
-        #[allow(deprecated)]
-        {
-            assert_eq!(router.rank(0x51), {
-                let labels = router.backend_labels();
-                router
-                    .rank_labels(0x51)
-                    .iter()
-                    .map(|label| labels.iter().position(|l| l == label).unwrap())
-                    .collect::<Vec<_>>()
-            });
-            // Kill both members; a failed screen arms the health records the
-            // index shims then read (a bare kill alone does not).
-            router.kill_backend(0);
-            router.kill_backend(1);
-            assert!(router.screen(0x51, std::slice::from_ref(&golden)).is_err());
-            assert!(router.backend_down(0));
-            assert!(router.backend_down(1));
-            router.revive_backend(0);
-            router.revive_backend(1);
-            assert!(!router.backend_down(0));
-            assert!(!router.backend_down(1));
-        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //! * [`RouterHandle`] — the in-process front (no TCP): same core, plus
 //!   [`RouterHandle::spawn`] which builds a whole in-process backend fleet
 //!   via [`dsig_serve::ServeHandle::spawn`] for tests and benches;
-//! * [`RouterClient`] — the blocking TCP client (single- and multi-golden
-//!   screening, golden push/readback);
+//! * [`RouterClient`] — the TCP client: [`dsig_serve::ServeClient`] under
+//!   the router's name (single- and multi-golden screening, golden
+//!   push/readback, scrapes and fleet admin);
 //! * [`RouterStore`] — the router's authoritative golden store
 //!   (`DSGS`-compatible): characterize once, **push** to the owning
 //!   backends, **refresh** a failover backend on miss, **read back** from
@@ -46,9 +47,9 @@
 //! **replica healing**. Backends are addressed by **label** (`host:port`
 //! or `local-<id>`); membership transitions surface as `backend.joined` /
 //! `backend.left` / `backend.draining` / `replica.healed` events and the
-//! epoch rides in every `DSHR` health report. All six client/handle types
-//! program against the shared [`dsig_serve::Screen`],
-//! [`dsig_serve::ObsScrape`] and [`dsig_serve::FleetAdmin`] traits.
+//! epoch rides in every `DSHR` health report. The client and both handles
+//! implement the shared [`dsig_serve::Screen`], [`dsig_serve::ObsScrape`]
+//! and [`dsig_serve::FleetAdmin`] traits.
 //!
 //! The router implements [`dsig_engine::RemoteScorer`], so a
 //! [`dsig_engine::CampaignRunner`] can score an entire campaign through the
@@ -82,7 +83,7 @@ pub mod server;
 pub mod store;
 
 pub use backend::{Backend, HealthConfig};
-pub use client::{PipelinedRouterClient, RouterClient};
+pub use client::RouterClient;
 pub use error::{Result, RouterError};
 pub use handle::RouterHandle;
 pub use hash::{hrw_weight, mix64, rank_backends};

@@ -245,13 +245,6 @@ impl RouterCore {
             .collect()
     }
 
-    /// Member indices (within the *current* snapshot) in rendezvous order.
-    /// Indices go stale the moment membership changes — label addressing is
-    /// the stable vocabulary.
-    pub(crate) fn rank(&self, key: u64) -> Vec<usize> {
-        self.snapshot().rank(key)
-    }
-
     /// Resolves a member by label.
     fn find(&self, label: &str) -> Result<Arc<Backend>> {
         let m = self.snapshot();
@@ -872,7 +865,7 @@ impl RouterCore {
     /// Screens an adaptive-retest batch: the request is split at the
     /// configured sub-batch boundary (counted in devices) and each piece is
     /// forwarded to the golden's owner along the same failover chain plain
-    /// screening uses — the owning shard set reruns marginal devices with
+    /// screening uses — the owning backend reruns marginal devices with
     /// averaged repeats before verdicting, and a backend dying mid-batch
     /// only re-routes the not-yet-decided remainder.
     pub(crate) fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {

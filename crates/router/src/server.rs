@@ -253,7 +253,7 @@ mod tests {
     use super::*;
     use crate::client::RouterClient;
     use dsig_core::{AcceptanceBand, Signature, SignatureEntry, TestOutcome, ZoneCode};
-    use dsig_serve::{GoldenStore, ServeConfig, ServeHandle};
+    use dsig_serve::{GoldenStore, ObsScrape, Screen, ServeConfig, ServeError, ServeHandle};
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -288,7 +288,7 @@ mod tests {
             RouterConfig::default(),
         )
         .unwrap();
-        let mut client = RouterClient::connect(router.local_addr()).unwrap();
+        let client = RouterClient::connect(router.local_addr()).unwrap();
         let band = AcceptanceBand::new(0.05).unwrap();
         let golden_a = sig(&[(1, 100e-6), (3, 100e-6)]);
         let golden_b = sig(&[(2, 100e-6), (4, 100e-6)]);
@@ -341,7 +341,7 @@ mod tests {
         // Unknown goldens carry the code through the router.
         assert!(matches!(
             client.screen(0xDEAD, &[golden_a]),
-            Err(RouterError::UnknownGolden(0xDEAD))
+            Err(ServeError::UnknownGolden(0xDEAD))
         ));
     }
 
@@ -354,7 +354,7 @@ mod tests {
             RouterConfig::default(),
         )
         .unwrap();
-        let mut client = RouterClient::connect(router.local_addr()).unwrap();
+        let client = RouterClient::connect(router.local_addr()).unwrap();
         let golden = sig(&[(1, 100e-6), (3, 100e-6)]);
         client
             .push_golden(0x11, AcceptanceBand::new(0.05).unwrap(), &golden)

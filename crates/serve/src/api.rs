@@ -1,12 +1,11 @@
 //! The unified client API: the screening, observability-scrape and
 //! fleet-admin surfaces as traits.
 //!
-//! Six concrete types expose the same surface — [`ServeClient`],
-//! [`PipelinedClient`], [`crate::ServeHandle`] here, plus the router's
-//! `RouterClient`, `PipelinedRouterClient` and `RouterHandle` — and before
-//! these traits every consumer (the top bin, the engine plumbing, the test
-//! suites) was written against one concrete type and copied for the next.
-//! Program against the traits instead:
+//! Three concrete types expose the same surface — the TCP [`crate::ServeClient`]
+//! (which the router crate also names `RouterClient`: one protocol, one
+//! client), the in-process [`ServeHandle`], and the router's in-process
+//! `RouterHandle`. Program against the traits, and a consumer (the top bin,
+//! the engine plumbing, the test suites) works with any of them:
 //!
 //! * [`Screen`] — score work: single-golden and multi-golden batches, the
 //!   adaptive retest path.
@@ -17,18 +16,17 @@
 //!   verb with an error, which is how a generic caller discovers it is not
 //!   talking to a router.
 //!
-//! Every method takes `&mut self` — the lowest common denominator across
-//! the six implementors ([`ServeClient`] serializes on one connection; the
-//! pipelined clients and the handles are internally shared and simply
-//! ignore the exclusivity). Each implementor keeps its inherent methods
-//! (with their sharper receivers and, for the handles, richer signatures);
-//! the traits are the portable projection.
+//! Every method takes `&self`: every implementor is internally shared (the
+//! client multiplexes one connection across clones, the handles front
+//! shared pools). The client's typed requests exist only as these trait
+//! methods; the handles also keep inherent methods with richer signatures
+//! (their scrapes cannot fail), and the traits are the portable projection.
 
 use dsig_core::Signature;
 use dsig_obs::{EventLog, HealthReport, MetricsSnapshot, SloPolicy, TraceLog};
 
 use crate::proto::{FleetRoster, RetestRequest, RetestScore, ScoreResult};
-use crate::{PipelinedClient, ServeClient, ServeError, ServeHandle};
+use crate::{ServeError, ServeHandle};
 
 /// The screening surface: score observed signatures against served goldens.
 ///
@@ -45,20 +43,22 @@ pub trait Screen {
     /// # Errors
     /// Implementor-defined; unknown fingerprints and dead connections are
     /// the common cases.
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, Self::Error>;
+    fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, Self::Error>;
 
     /// Scores a single signature (a one-element [`Screen::screen`]).
     ///
     /// # Errors
     /// As for [`Screen::screen`].
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult, Self::Error>;
+    fn screen_one(&self, golden_key: u64, signature: &Signature) -> Result<ScoreResult, Self::Error> {
+        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
+    }
 
     /// Scores a batch where each signature names its own golden
     /// fingerprint.
     ///
     /// # Errors
     /// As for [`Screen::screen`].
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>, Self::Error>;
+    fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>, Self::Error>;
 
     /// Screens an adaptive-retest batch: each device's single-shot
     /// signature plus its measurement repeats, re-decided through the
@@ -66,7 +66,7 @@ pub trait Screen {
     ///
     /// # Errors
     /// As for [`Screen::screen`].
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>, Self::Error>;
+    fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>, Self::Error>;
 }
 
 /// The observability surface: metrics, traces, events and health.
@@ -81,19 +81,19 @@ pub trait ObsScrape {
     ///
     /// # Errors
     /// Implementor-defined (transport failures for the clients).
-    fn metrics(&mut self) -> Result<MetricsSnapshot, Self::Error>;
+    fn metrics(&self) -> Result<MetricsSnapshot, Self::Error>;
 
     /// Drains the process's buffered trace spans. Consuming.
     ///
     /// # Errors
     /// As for [`ObsScrape::metrics`].
-    fn traces(&mut self) -> Result<TraceLog, Self::Error>;
+    fn traces(&self) -> Result<TraceLog, Self::Error>;
 
     /// Drains the process's structured event log. Consuming.
     ///
     /// # Errors
     /// As for [`ObsScrape::metrics`].
-    fn events(&mut self) -> Result<EventLog, Self::Error>;
+    fn events(&self) -> Result<EventLog, Self::Error>;
 
     /// Scrapes fleet-wide merged metrics: a routing tier merges every
     /// backend's snapshot under `backend.<id>.` prefixes plus `fleet.`
@@ -101,13 +101,13 @@ pub trait ObsScrape {
     ///
     /// # Errors
     /// As for [`ObsScrape::metrics`].
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot, Self::Error>;
+    fn fleet_metrics(&self) -> Result<MetricsSnapshot, Self::Error>;
 
     /// Drains trace spans fleet-wide. Consuming, like [`ObsScrape::traces`].
     ///
     /// # Errors
     /// As for [`ObsScrape::metrics`].
-    fn fleet_traces(&mut self) -> Result<TraceLog, Self::Error>;
+    fn fleet_traces(&self) -> Result<TraceLog, Self::Error>;
 
     /// Evaluates the process's own health, returning the PASS/DEGRADED/FAIL
     /// report (routing tiers fold in backend reachability and the
@@ -115,7 +115,7 @@ pub trait ObsScrape {
     ///
     /// # Errors
     /// As for [`ObsScrape::metrics`].
-    fn health(&mut self) -> Result<HealthReport, Self::Error>;
+    fn health(&self) -> Result<HealthReport, Self::Error>;
 }
 
 /// The fleet-admin surface: live membership changes against a routing
@@ -136,7 +136,7 @@ pub trait FleetAdmin {
     /// # Errors
     /// Rejected labels (unparseable, or the peer is not a routing tier)
     /// and transport failures.
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster, Self::Error>;
+    fn fleet_join(&self, label: &str) -> Result<FleetRoster, Self::Error>;
 
     /// Removes the member at `label`, re-replicating its goldens to the
     /// surviving owners first.
@@ -144,175 +144,35 @@ pub trait FleetAdmin {
     /// # Errors
     /// As for [`FleetAdmin::fleet_join`]; removing the last member is
     /// rejected.
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster, Self::Error>;
+    fn fleet_leave(&self, label: &str) -> Result<FleetRoster, Self::Error>;
 
     /// Drains the member at `label`: its goldens are re-replicated and new
     /// work steers away, but it stays in the roster as a last resort.
     ///
     /// # Errors
     /// As for [`FleetAdmin::fleet_join`].
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster, Self::Error>;
+    fn fleet_drain(&self, label: &str) -> Result<FleetRoster, Self::Error>;
 
     /// Reads the live membership roster: the current epoch plus every
     /// member's label, id and state.
     ///
     /// # Errors
     /// As for [`FleetAdmin::fleet_join`].
-    fn fleet_roster(&mut self) -> Result<FleetRoster, Self::Error>;
-}
-
-impl Screen for ServeClient {
-    type Error = ServeError;
-
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, ServeError> {
-        ServeClient::screen(self, golden_key, signatures)
-    }
-
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult, ServeError> {
-        ServeClient::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>, ServeError> {
-        ServeClient::screen_multi(self, items)
-    }
-
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>, ServeError> {
-        ServeClient::screen_retest(self, request)
-    }
-}
-
-impl ObsScrape for ServeClient {
-    type Error = ServeError;
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        ServeClient::metrics(self)
-    }
-
-    fn traces(&mut self) -> Result<TraceLog, ServeError> {
-        ServeClient::traces(self)
-    }
-
-    fn events(&mut self) -> Result<EventLog, ServeError> {
-        ServeClient::events(self)
-    }
-
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        ServeClient::fleet_metrics(self)
-    }
-
-    fn fleet_traces(&mut self) -> Result<TraceLog, ServeError> {
-        ServeClient::fleet_traces(self)
-    }
-
-    fn health(&mut self) -> Result<HealthReport, ServeError> {
-        ServeClient::health(self)
-    }
-}
-
-impl FleetAdmin for ServeClient {
-    type Error = ServeError;
-
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster, ServeError> {
-        ServeClient::fleet_join(self, label)
-    }
-
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster, ServeError> {
-        ServeClient::fleet_leave(self, label)
-    }
-
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster, ServeError> {
-        ServeClient::fleet_drain(self, label)
-    }
-
-    fn fleet_roster(&mut self) -> Result<FleetRoster, ServeError> {
-        ServeClient::fleet_roster(self)
-    }
-}
-
-impl Screen for PipelinedClient {
-    type Error = ServeError;
-
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, ServeError> {
-        PipelinedClient::screen(self, golden_key, signatures)
-    }
-
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult, ServeError> {
-        PipelinedClient::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>, ServeError> {
-        PipelinedClient::screen_multi(self, items)
-    }
-
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>, ServeError> {
-        PipelinedClient::screen_retest(self, request)
-    }
-}
-
-impl ObsScrape for PipelinedClient {
-    type Error = ServeError;
-
-    fn metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        PipelinedClient::metrics(self)
-    }
-
-    fn traces(&mut self) -> Result<TraceLog, ServeError> {
-        PipelinedClient::traces(self)
-    }
-
-    fn events(&mut self) -> Result<EventLog, ServeError> {
-        PipelinedClient::events(self)
-    }
-
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
-        PipelinedClient::fleet_metrics(self)
-    }
-
-    fn fleet_traces(&mut self) -> Result<TraceLog, ServeError> {
-        PipelinedClient::fleet_traces(self)
-    }
-
-    fn health(&mut self) -> Result<HealthReport, ServeError> {
-        PipelinedClient::health(self)
-    }
-}
-
-impl FleetAdmin for PipelinedClient {
-    type Error = ServeError;
-
-    fn fleet_join(&mut self, label: &str) -> Result<FleetRoster, ServeError> {
-        PipelinedClient::fleet_join(self, label)
-    }
-
-    fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster, ServeError> {
-        PipelinedClient::fleet_leave(self, label)
-    }
-
-    fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster, ServeError> {
-        PipelinedClient::fleet_drain(self, label)
-    }
-
-    fn fleet_roster(&mut self) -> Result<FleetRoster, ServeError> {
-        PipelinedClient::fleet_roster(self)
-    }
+    fn fleet_roster(&self) -> Result<FleetRoster, Self::Error>;
 }
 
 impl Screen for ServeHandle {
     type Error = ServeError;
 
-    fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, ServeError> {
+    fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>, ServeError> {
         ServeHandle::screen(self, golden_key, signatures)
     }
 
-    fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult, ServeError> {
-        ServeHandle::screen_one(self, golden_key, signature)
-    }
-
-    fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>, ServeError> {
+    fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>, ServeError> {
         ServeHandle::screen_multi(self, items)
     }
 
-    fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>, ServeError> {
+    fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>, ServeError> {
         ServeHandle::screen_retest(self, request)
     }
 }
@@ -320,29 +180,29 @@ impl Screen for ServeHandle {
 impl ObsScrape for ServeHandle {
     type Error = ServeError;
 
-    fn metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
+    fn metrics(&self) -> Result<MetricsSnapshot, ServeError> {
         Ok(ServeHandle::metrics(self))
     }
 
-    fn traces(&mut self) -> Result<TraceLog, ServeError> {
+    fn traces(&self) -> Result<TraceLog, ServeError> {
         Ok(ServeHandle::traces(self))
     }
 
-    fn events(&mut self) -> Result<EventLog, ServeError> {
+    fn events(&self) -> Result<EventLog, ServeError> {
         Ok(ServeHandle::events(self))
     }
 
-    fn fleet_metrics(&mut self) -> Result<MetricsSnapshot, ServeError> {
+    fn fleet_metrics(&self) -> Result<MetricsSnapshot, ServeError> {
         // A bare handle is a fleet of one, exactly like a bare server
         // answering `DSFM` with its own snapshot.
         Ok(ServeHandle::metrics(self))
     }
 
-    fn fleet_traces(&mut self) -> Result<TraceLog, ServeError> {
+    fn fleet_traces(&self) -> Result<TraceLog, ServeError> {
         Ok(ServeHandle::traces(self))
     }
 
-    fn health(&mut self) -> Result<HealthReport, ServeError> {
+    fn health(&self) -> Result<HealthReport, ServeError> {
         Ok(ServeHandle::health(self, &SloPolicy::default()))
     }
 }
@@ -350,19 +210,19 @@ impl ObsScrape for ServeHandle {
 impl FleetAdmin for ServeHandle {
     type Error = ServeError;
 
-    fn fleet_join(&mut self, _label: &str) -> Result<FleetRoster, ServeError> {
+    fn fleet_join(&self, _label: &str) -> Result<FleetRoster, ServeError> {
         Err(not_a_router())
     }
 
-    fn fleet_leave(&mut self, _label: &str) -> Result<FleetRoster, ServeError> {
+    fn fleet_leave(&self, _label: &str) -> Result<FleetRoster, ServeError> {
         Err(not_a_router())
     }
 
-    fn fleet_drain(&mut self, _label: &str) -> Result<FleetRoster, ServeError> {
+    fn fleet_drain(&self, _label: &str) -> Result<FleetRoster, ServeError> {
         Err(not_a_router())
     }
 
-    fn fleet_roster(&mut self) -> Result<FleetRoster, ServeError> {
+    fn fleet_roster(&self) -> Result<FleetRoster, ServeError> {
         Err(not_a_router())
     }
 }
@@ -398,7 +258,7 @@ mod tests {
 
     /// One generic driver exercises every implementor: the point of the
     /// trait layer is that this function cannot tell them apart.
-    fn drive<T>(peer: &mut T, key: u64)
+    fn drive<T>(peer: &T, key: u64)
     where
         T: Screen + ObsScrape + FleetAdmin,
         <T as Screen>::Error: std::fmt::Debug,
@@ -425,20 +285,14 @@ mod tests {
         );
         let server = crate::Server::bind("127.0.0.1:0", Arc::new(store), ServeConfig::with_shards(1)).unwrap();
 
-        let mut handle = server.handle().clone();
-        drive(&mut handle, key);
+        let handle = server.handle();
+        drive(&handle, key);
         // A leaf rejects every admin verb with the routing-tier error.
         assert!(matches!(handle.fleet_roster(), Err(ServeError::Remote(_))));
 
-        let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
-        drive(&mut blocking, key);
-        assert!(matches!(blocking.fleet_join("127.0.0.1:1"), Err(ServeError::Remote(_))));
-
-        let mut pipelined = PipelinedClient::connect(server.local_addr()).unwrap();
-        drive(&mut pipelined, key);
-        assert!(matches!(
-            FleetAdmin::fleet_drain(&mut pipelined, "x"),
-            Err(ServeError::Remote(_))
-        ));
+        let client = crate::ServeClient::connect(server.local_addr()).unwrap();
+        drive(&client, key);
+        assert!(matches!(client.fleet_join("127.0.0.1:1"), Err(ServeError::Remote(_))));
+        assert!(matches!(client.fleet_drain("x"), Err(ServeError::Remote(_))));
     }
 }

@@ -1,29 +1,29 @@
-//! The TCP clients: connect to a [`crate::Server`], frame requests and
-//! decode responses.
+//! The TCP client: connect to a [`crate::Server`] (or a routing tier — both
+//! speak the same protocol), frame requests and decode responses.
 //!
-//! * [`ServeClient`] — the blocking client: one connection, one request in
-//!   flight; throughput comes from batching (many signatures per request)
-//!   and from running several clients in parallel.
-//! * [`PipelinedClient`] — the multiplexed client: one connection, **N
-//!   requests in flight**, responses matched by the echoed request id and
-//!   completed out of order. Cheap to clone; every clone shares the
-//!   connection, so thousands of caller threads fan in over one stream.
+//! [`ServeClient`] multiplexes one connection: **N requests in flight**,
+//! responses matched by the echoed request id and completed out of order.
+//! It is cheap to clone; every clone shares the connection, so thousands of
+//! caller threads fan in over one stream. A blocking call — every
+//! [`Screen`], [`ObsScrape`] and [`FleetAdmin`] method — is one submission
+//! plus one wait on its [`Ticket`]; the `start_*`/`wait_*` pairs split the
+//! two so one thread can keep many requests in flight.
 //!
 //! # Retry semantics
 //!
-//! Nearly every request is pure (screening scores, golden pushes and
-//! fetches are all idempotent), so both clients transparently reconnect
-//! **once** when the connection turns out to be dead — a server restart or
-//! an idle-timeout close between requests does not surface to the caller.
-//! Under pipelining the rule is explicit: on reconnect, only the
-//! **unacknowledged idempotent** requests are resubmitted (with their
-//! original ids), and each request is resubmitted **at most once** — if the
+//! When the connection turns out to be dead — a server restart, or an
+//! idle-timeout close between requests — the client redials **once** and
+//! resubmits only the **unacknowledged idempotent** requests, with their
+//! original ids. Screening, golden pushes and fetches, metrics scrapes,
+//! health checks and the fleet-admin verbs (idempotent by label) are all
+//! idempotent. Each request is resubmitted **at most once**: if the
 //! replacement connection dies too (a crash-looping or shedding server),
 //! the request fails with the I/O error instead of being redialed forever.
-//! Requests whose responses already arrived are never resent, and a pending
-//! drain — `DSTX`, its fleet form `DSFT`, or a `DSEX` event drain, the
-//! non-idempotent requests, since draining consumes records — fails with
-//! the connection error instead of being silently re-issued.
+//! Requests whose responses already arrived are never resent. A pending
+//! drain — `DSTX`, its fleet form `DSFT`, or a `DSEX` event drain — consumes
+//! records server-side, so it fails with [`ServeError::Io`] instead of being
+//! re-issued. An idle close with nothing in flight is not an error: the
+//! next call redials.
 
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
@@ -35,6 +35,7 @@ use dsig_core::{AcceptanceBand, DsigError, Signature};
 
 use dsig_obs::{EventLevel, EventLog, HealthReport, MetricsSnapshot, Registry, TraceLog};
 
+use crate::api::{FleetAdmin, ObsScrape, Screen};
 use crate::error::{Result, ServeError};
 use crate::proto::{
     decode_admin_response, decode_events_response, decode_health_response, decode_metrics_response, decode_response,
@@ -45,270 +46,6 @@ use crate::proto::{
     HealthResponse, MetricsResponse, RetestRequest, RetestResponse, RetestScore, ScoreResult, ScreenResponse,
     TracesResponse, EVENTS_REQUEST_MAGIC, FLEET_TRACES_REQUEST_MAGIC, TRACES_REQUEST_MAGIC,
 };
-
-/// A blocking client over one TCP connection.
-///
-/// # Examples
-///
-/// Screen one observed signature against a served golden:
-///
-/// ```
-/// use std::sync::Arc;
-/// use cut_filters::BiquadParams;
-/// use dsig_core::{AcceptanceBand, TestSetup};
-/// use dsig_serve::{GoldenStore, ServeClient, ServeConfig, Server};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
-/// let reference = BiquadParams::paper_default();
-/// let store = Arc::new(GoldenStore::new());
-/// let key = store.characterize(&setup, &reference, AcceptanceBand::new(0.03)?)?;
-/// let server = Server::bind("127.0.0.1:0", store, ServeConfig::default())?;
-///
-/// let observed = setup.signature_of(&reference, 7)?;
-/// let mut client = ServeClient::connect(server.local_addr())?;
-/// let score = client.screen_one(key, &observed)?;
-/// assert_eq!(score.ndf, 0.0, "the nominal device matches its golden exactly");
-/// # Ok(())
-/// # }
-/// ```
-pub struct ServeClient {
-    addr: SocketAddr,
-    reader: BufReader<TcpStream>,
-    writer: BufWriter<TcpStream>,
-}
-
-impl ServeClient {
-    /// Connects to a scoring server.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Io`] on connection errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let addr = stream.peer_addr()?;
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(ServeClient {
-            addr,
-            reader,
-            writer: BufWriter::new(stream),
-        })
-    }
-
-    /// The server address this client is connected to (and reconnects to).
-    pub fn peer_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Sends one request frame and reads the response frame on the current
-    /// connection.
-    fn exchange_once(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        write_frame(&mut self.writer, request)?;
-        self.writer.flush()?;
-        read_frame(&mut self.reader)?.ok_or_else(|| {
-            ServeError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            ))
-        })
-    }
-
-    /// Sends one request frame and reads the response, reconnecting **once**
-    /// on a dead connection (broken pipe, reset, end-of-stream). Every
-    /// request the protocol carries is idempotent — screening is a pure
-    /// function and pushes/fetches are last-write-wins reads/writes — so a
-    /// single resend can never change an outcome.
-    fn exchange(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        match self.exchange_once(request) {
-            Err(ServeError::Io(_)) => {
-                *self = Self::connect(self.addr)?;
-                self.exchange_once(request)
-            }
-            other => other,
-        }
-    }
-
-    /// Scores a batch of observed signatures against the golden stored under
-    /// `golden_key` on the server, returning one [`ScoreResult`] per
-    /// signature in request order.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::UnknownGolden`] if the server does not hold the
-    /// fingerprint, [`ServeError::Remote`] for other server-side failures,
-    /// [`ServeError::Protocol`] on malformed responses and
-    /// [`ServeError::Io`] on dead connections (after one transparent
-    /// reconnect attempt).
-    pub fn screen(&mut self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
-        let payload = self.exchange(&encode_request(golden_key, signatures))?;
-        decode_scores(&payload, signatures.len(), Some(golden_key))
-    }
-
-    /// Scores a batch where each signature names its own golden fingerprint
-    /// (`DSRM`), returning one [`ScoreResult`] per item in request order.
-    /// Against a routing tier this is the frame that fans out across
-    /// backends.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`]; an unknown fingerprint anywhere fails
-    /// the whole batch with [`ServeError::Remote`].
-    pub fn screen_multi(&mut self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        let payload = self.exchange(&encode_multi_request(items))?;
-        decode_scores(&payload, items.len(), None)
-    }
-
-    /// Screens an adaptive-retest batch (`DSRT`): each device's single-shot
-    /// signature plus its measurement repeats, re-decided server-side through
-    /// the request's retest policy. Returns one [`RetestScore`] per device in
-    /// request order.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen_retest(&mut self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
-        let payload = self.exchange(&encode_retest_request(request))?;
-        decode_retest_scores(&payload, request.items.len(), request.golden_key)
-    }
-
-    /// Scores a single signature (a one-element [`ServeClient::screen`]).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen_one(&mut self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
-    }
-
-    /// Stores (or replaces) a golden record on the server (`DSGP`) — the
-    /// replication push a routing tier uses to place goldens on backends.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`] (minus `UnknownGolden`).
-    pub fn push_golden(&mut self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        let payload = self.exchange(&encode_push_request(key, band, golden))?;
-        decode_push_ack(&payload)
-    }
-
-    /// Scrapes the server's live metrics registry (`DSMX`), returning its
-    /// [`MetricsSnapshot`] — the operator's view of request counters, shard
-    /// latencies and traffic totals. Counters are monotonically consistent
-    /// across successive scrapes of the same process.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`] (minus `UnknownGolden`).
-    pub fn metrics(&mut self) -> Result<MetricsSnapshot> {
-        let payload = self.exchange(&encode_metrics_request())?;
-        decode_metrics_snapshot(&payload)
-    }
-
-    /// Drains the server's buffered trace spans (`DSTX`), returning its
-    /// [`TraceLog`]. Scraping consumes: each span is exported at most once,
-    /// so successive scrapes return disjoint span sets.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`] (minus `UnknownGolden`).
-    pub fn traces(&mut self) -> Result<TraceLog> {
-        let payload = self.exchange(&encode_traces_request())?;
-        decode_trace_log(&payload)
-    }
-
-    /// Reads a golden record back from the server (`DSGF`) — the readback a
-    /// routing tier uses to refresh its local store on a miss.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::UnknownGolden`] when the server has no record
-    /// under `key`; otherwise as for [`ServeClient::screen`].
-    pub fn fetch_golden(&mut self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        let payload = self.exchange(&encode_fetch_request(key))?;
-        decode_fetch_record(&payload, key)
-    }
-
-    /// Scrapes the fleet-wide merged metrics (`DSFM`): against a routing
-    /// tier the snapshot carries every backend's metrics under
-    /// `backend.<id>.` prefixes plus `fleet.` rollups; a bare server
-    /// answers its own snapshot — a fleet of one. Idempotent, like `DSMX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn fleet_metrics(&mut self) -> Result<MetricsSnapshot> {
-        let payload = self.exchange(&encode_fleet_metrics_request())?;
-        decode_metrics_snapshot(&payload)
-    }
-
-    /// Drains trace spans fleet-wide (`DSFT`): a routing tier drains every
-    /// backend plus itself; a bare server answers its own log. Consuming,
-    /// like `DSTX` — successive drains return disjoint span sets.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::traces`].
-    pub fn fleet_traces(&mut self) -> Result<TraceLog> {
-        let payload = self.exchange(&encode_fleet_traces_request())?;
-        decode_trace_log(&payload)
-    }
-
-    /// Drains the server's structured event log (`DSEX`). Consuming: each
-    /// event is exported at most once.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn events(&mut self) -> Result<EventLog> {
-        let payload = self.exchange(&encode_events_request())?;
-        decode_event_log(&payload)
-    }
-
-    /// Asks the server to evaluate its own health (`DSHC`), returning the
-    /// PASS/DEGRADED/FAIL [`HealthReport`]. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn health(&mut self) -> Result<HealthReport> {
-        let payload = self.exchange(&encode_health_request())?;
-        decode_health_report(&payload)
-    }
-
-    /// Asks a routing tier to admit the backend at `label` (`DSAQ` join) and
-    /// waits for the golden migration to complete, returning the roster
-    /// after the membership change. Idempotent by label: joining a member
-    /// that is already active is an acknowledged no-op.
-    ///
-    /// # Errors
-    /// Returns [`ServeError::Remote`] when the peer rejects the verb (a leaf
-    /// serving process is not a routing tier, an unparseable label);
-    /// otherwise as for [`ServeClient::metrics`].
-    pub fn fleet_join(&mut self, label: &str) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::Join { label: label.into() }))?;
-        decode_roster(&payload)
-    }
-
-    /// Asks a routing tier to remove the member at `label` (`DSAQ` leave),
-    /// re-replicating its goldens to the surviving owners first. Idempotent
-    /// by label: leaving an unknown member is an acknowledged no-op.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_leave(&mut self, label: &str) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::Leave { label: label.into() }))?;
-        decode_roster(&payload)
-    }
-
-    /// Asks a routing tier to drain the member at `label` (`DSAQ` drain):
-    /// its goldens are re-replicated and new work steers away, but the
-    /// member stays in the roster as a last resort. Idempotent by label.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_drain(&mut self, label: &str) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::Drain { label: label.into() }))?;
-        decode_roster(&payload)
-    }
-
-    /// Reads the routing tier's live membership roster (`DSAQ` list): the
-    /// current epoch plus every member's label, id and state. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_roster(&mut self) -> Result<FleetRoster> {
-        let payload = self.exchange(&encode_admin_request(&AdminRequest::List))?;
-        decode_roster(&payload)
-    }
-}
 
 /// Decodes a screening response, checking the score count.
 fn decode_scores(payload: &[u8], expected: usize, golden_key: Option<u64>) -> Result<Vec<ScoreResult>> {
@@ -471,7 +208,7 @@ impl Drop for MuxInner {
     }
 }
 
-/// A handle to one in-flight [`PipelinedClient`] request: redeem it with
+/// A handle to one in-flight [`ServeClient`] request: redeem it with
 /// [`Ticket::wait`] for the raw response payload. Tickets resolve in
 /// whatever order the server finishes — that is the point of pipelining —
 /// and may be waited from any thread.
@@ -520,25 +257,42 @@ impl Ticket {
 ///
 /// Cloning is cheap and every clone shares the connection and id space —
 /// hand clones to as many threads as you like (`&self` methods throughout).
-/// Each typed method has the same signature and decode semantics as its
-/// [`ServeClient`] counterpart; the `start_*` variants return a [`Ticket`]
-/// instead of blocking, which is how one thread keeps hundreds of requests
-/// in flight.
+/// The typed requests are the [`Screen`], [`ObsScrape`] and [`FleetAdmin`]
+/// trait methods; the `start_*` variants return a [`Ticket`] instead of
+/// blocking, which is how one thread keeps hundreds of requests in flight.
 ///
-/// See the module docs for the retry semantics under pipelining.
-pub struct PipelinedClient {
+/// See the module docs for the retry semantics.
+///
+/// # Examples
+///
+/// Screen one observed signature against a served golden:
+///
+/// ```
+/// use std::sync::Arc;
+/// use cut_filters::BiquadParams;
+/// use dsig_core::{AcceptanceBand, TestSetup};
+/// use dsig_serve::{GoldenStore, Screen, ServeClient, ServeConfig, Server};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
+/// let reference = BiquadParams::paper_default();
+/// let store = Arc::new(GoldenStore::new());
+/// let key = store.characterize(&setup, &reference, AcceptanceBand::new(0.03)?)?;
+/// let server = Server::bind("127.0.0.1:0", store, ServeConfig::default())?;
+///
+/// let observed = setup.signature_of(&reference, 7)?;
+/// let client = ServeClient::connect(server.local_addr())?;
+/// let score = client.screen_one(key, &observed)?;
+/// assert_eq!(score.ndf, 0.0, "the nominal device matches its golden exactly");
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Clone)]
+pub struct ServeClient {
     inner: Arc<MuxInner>,
 }
 
-impl Clone for PipelinedClient {
-    fn clone(&self) -> Self {
-        PipelinedClient {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-}
-
-impl PipelinedClient {
+impl ServeClient {
     /// Connects to a scoring server (or router — both speak the same
     /// protocol).
     ///
@@ -560,7 +314,7 @@ impl PipelinedClient {
         let mut state = inner.state.lock().expect("mux state poisoned");
         attach_stream(&inner, &mut state, stream)?;
         drop(state);
-        Ok(PipelinedClient { inner })
+        Ok(ServeClient { inner })
     }
 
     /// The server address this client is connected to (and reconnects to).
@@ -628,8 +382,13 @@ impl PipelinedClient {
         })
     }
 
+    /// One blocking request: submit the frame, wait for its response.
+    fn exchange(&self, frame: Vec<u8>) -> Result<Vec<u8>> {
+        self.call(frame)?.wait()
+    }
+
     /// Starts a screening request (`DSRQ`); redeem with
-    /// [`PipelinedClient::wait_screen`].
+    /// [`ServeClient::wait_screen`].
     ///
     /// # Errors
     /// As for [`Ticket::wait`].
@@ -637,16 +396,19 @@ impl PipelinedClient {
         self.call(encode_request(golden_key, signatures))
     }
 
-    /// Redeems a [`PipelinedClient::start_screen`] ticket.
+    /// Redeems a [`ServeClient::start_screen`] ticket.
     ///
     /// # Errors
-    /// As for [`ServeClient::screen`].
+    /// As for [`Screen::screen`]: [`ServeError::UnknownGolden`] if the server
+    /// does not hold the fingerprint, [`ServeError::Remote`] for other
+    /// server-side failures, [`ServeError::Protocol`] on malformed responses
+    /// and [`ServeError::Io`] on dead connections.
     pub fn wait_screen(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<ScoreResult>> {
         decode_scores(&ticket.wait()?, expected, Some(golden_key))
     }
 
     /// Starts an adaptive-retest request (`DSRT`); redeem with
-    /// [`PipelinedClient::wait_retest`].
+    /// [`ServeClient::wait_retest`].
     ///
     /// # Errors
     /// As for [`Ticket::wait`].
@@ -654,171 +416,100 @@ impl PipelinedClient {
         self.call(encode_retest_request(request))
     }
 
-    /// Redeems a [`PipelinedClient::start_retest`] ticket.
+    /// Redeems a [`ServeClient::start_retest`] ticket.
     ///
     /// # Errors
-    /// As for [`ServeClient::screen_retest`].
+    /// As for [`ServeClient::wait_screen`].
     pub fn wait_retest(&self, ticket: Ticket, expected: usize, golden_key: u64) -> Result<Vec<RetestScore>> {
         decode_retest_scores(&ticket.wait()?, expected, golden_key)
     }
 
-    /// Scores a batch against one golden — the pipelined
-    /// [`ServeClient::screen`].
+    /// Stores (or replaces) a golden record on the server (`DSGP`) — the
+    /// replication push a routing tier uses to place goldens on backends.
+    /// Against a routing tier, the router replicates it to the owning
+    /// backends.
     ///
     /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
+    /// As for [`ServeClient::wait_screen`] (minus `UnknownGolden`).
+    pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
+        decode_push_ack(&self.exchange(encode_push_request(key, band, golden))?)
+    }
+
+    /// Reads a golden record back from the server (`DSGF`) — the readback a
+    /// routing tier uses to refresh its local store on a miss.
+    ///
+    /// # Errors
+    /// Returns [`ServeError::UnknownGolden`] when the server has no record
+    /// under `key`; otherwise as for [`ServeClient::wait_screen`].
+    pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
+        decode_fetch_record(&self.exchange(encode_fetch_request(key))?, key)
+    }
+}
+
+impl Screen for ServeClient {
+    type Error = ServeError;
+
+    fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
         self.wait_screen(self.start_screen(golden_key, signatures)?, signatures.len(), golden_key)
     }
 
-    /// Scores a single signature (a one-element [`PipelinedClient::screen`]).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen`].
-    pub fn screen_one(&self, golden_key: u64, signature: &Signature) -> Result<ScoreResult> {
-        Ok(self.screen(golden_key, std::slice::from_ref(signature))?[0])
+    /// An unknown fingerprint anywhere fails the whole batch with
+    /// [`ServeError::Remote`] naming the key (the wire error body carries no
+    /// key field).
+    fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
+        decode_scores(&self.exchange(encode_multi_request(items))?, items.len(), None)
     }
 
-    /// Scores a multi-golden batch (`DSRM`) — the pipelined
-    /// [`ServeClient::screen_multi`].
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen_multi`].
-    pub fn screen_multi(&self, items: &[(u64, Signature)]) -> Result<Vec<ScoreResult>> {
-        let ticket = self.call(encode_multi_request(items))?;
-        decode_scores(&ticket.wait()?, items.len(), None)
-    }
-
-    /// Screens an adaptive-retest batch — the pipelined
-    /// [`ServeClient::screen_retest`].
-    ///
-    /// # Errors
-    /// As for [`ServeClient::screen_retest`].
-    pub fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
+    fn screen_retest(&self, request: &RetestRequest) -> Result<Vec<RetestScore>> {
         self.wait_retest(self.start_retest(request)?, request.items.len(), request.golden_key)
     }
+}
 
-    /// Stores (or replaces) a golden record on the server (`DSGP`).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::push_golden`].
-    pub fn push_golden(&self, key: u64, band: AcceptanceBand, golden: &Signature) -> Result<()> {
-        decode_push_ack(&self.call(encode_push_request(key, band, golden))?.wait()?)
+impl ObsScrape for ServeClient {
+    type Error = ServeError;
+
+    fn metrics(&self) -> Result<MetricsSnapshot> {
+        decode_metrics_snapshot(&self.exchange(encode_metrics_request())?)
     }
 
-    /// Reads a golden record back from the server (`DSGF`).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fetch_golden`].
-    pub fn fetch_golden(&self, key: u64) -> Result<(AcceptanceBand, Signature)> {
-        decode_fetch_record(&self.call(encode_fetch_request(key))?.wait()?, key)
+    fn traces(&self) -> Result<TraceLog> {
+        decode_trace_log(&self.exchange(encode_traces_request())?)
     }
 
-    /// Scrapes the server's live metrics registry (`DSMX`).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn metrics(&self) -> Result<MetricsSnapshot> {
-        decode_metrics_snapshot(&self.call(encode_metrics_request())?.wait()?)
+    fn events(&self) -> Result<EventLog> {
+        decode_event_log(&self.exchange(encode_events_request())?)
     }
 
-    /// Drains the server's buffered trace spans (`DSTX`). A drain is not
-    /// idempotent: if the connection dies before the response arrives, the
-    /// call fails with [`ServeError::Io`] instead of being resubmitted (the
-    /// drain may or may not have happened server-side).
-    ///
-    /// # Errors
-    /// As for [`ServeClient::traces`].
-    pub fn traces(&self) -> Result<TraceLog> {
-        decode_trace_log(&self.call(encode_traces_request())?.wait()?)
+    fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
+        decode_metrics_snapshot(&self.exchange(encode_fleet_metrics_request())?)
     }
 
-    /// Scrapes the fleet-wide merged metrics (`DSFM`) — the pipelined
-    /// [`ServeClient::fleet_metrics`]. Idempotent: resubmitted on a
-    /// transparent reconnect like `DSMX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn fleet_metrics(&self) -> Result<MetricsSnapshot> {
-        decode_metrics_snapshot(&self.call(encode_fleet_metrics_request())?.wait()?)
+    fn fleet_traces(&self) -> Result<TraceLog> {
+        decode_trace_log(&self.exchange(encode_fleet_traces_request())?)
     }
 
-    /// Drains trace spans fleet-wide (`DSFT`) — the pipelined
-    /// [`ServeClient::fleet_traces`]. Not idempotent: fails instead of
-    /// resubmitting on a dead connection, like `DSTX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::traces`].
-    pub fn fleet_traces(&self) -> Result<TraceLog> {
-        decode_trace_log(&self.call(encode_fleet_traces_request())?.wait()?)
+    fn health(&self) -> Result<HealthReport> {
+        decode_health_report(&self.exchange(encode_health_request())?)
+    }
+}
+
+impl FleetAdmin for ServeClient {
+    type Error = ServeError;
+
+    fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
+        decode_roster(&self.exchange(encode_admin_request(&AdminRequest::Join { label: label.into() }))?)
     }
 
-    /// Drains the server's structured event log (`DSEX`) — the pipelined
-    /// [`ServeClient::events`]. Not idempotent: fails instead of
-    /// resubmitting on a dead connection, like `DSTX`.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn events(&self) -> Result<EventLog> {
-        decode_event_log(&self.call(encode_events_request())?.wait()?)
+    fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
+        decode_roster(&self.exchange(encode_admin_request(&AdminRequest::Leave { label: label.into() }))?)
     }
 
-    /// Asks the server to evaluate its own health (`DSHC`) — the pipelined
-    /// [`ServeClient::health`]. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::metrics`].
-    pub fn health(&self) -> Result<HealthReport> {
-        decode_health_report(&self.call(encode_health_request())?.wait()?)
+    fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
+        decode_roster(&self.exchange(encode_admin_request(&AdminRequest::Drain { label: label.into() }))?)
     }
 
-    /// Admits a backend into the fleet (`DSAQ` join) — the pipelined
-    /// [`ServeClient::fleet_join`]. Idempotent by label: resubmitted on a
-    /// transparent reconnect like every other admin verb.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_join(&self, label: &str) -> Result<FleetRoster> {
-        decode_roster(
-            &self
-                .call(encode_admin_request(&AdminRequest::Join { label: label.into() }))?
-                .wait()?,
-        )
-    }
-
-    /// Removes a fleet member (`DSAQ` leave) — the pipelined
-    /// [`ServeClient::fleet_leave`]. Idempotent by label.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_leave(&self, label: &str) -> Result<FleetRoster> {
-        decode_roster(
-            &self
-                .call(encode_admin_request(&AdminRequest::Leave { label: label.into() }))?
-                .wait()?,
-        )
-    }
-
-    /// Drains a fleet member (`DSAQ` drain) — the pipelined
-    /// [`ServeClient::fleet_drain`]. Idempotent by label.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_drain(&self, label: &str) -> Result<FleetRoster> {
-        decode_roster(
-            &self
-                .call(encode_admin_request(&AdminRequest::Drain { label: label.into() }))?
-                .wait()?,
-        )
-    }
-
-    /// Reads the live membership roster (`DSAQ` list) — the pipelined
-    /// [`ServeClient::fleet_roster`]. Idempotent.
-    ///
-    /// # Errors
-    /// As for [`ServeClient::fleet_join`].
-    pub fn fleet_roster(&self) -> Result<FleetRoster> {
-        decode_roster(&self.call(encode_admin_request(&AdminRequest::List))?.wait()?)
+    fn fleet_roster(&self) -> Result<FleetRoster> {
+        decode_roster(&self.exchange(encode_admin_request(&AdminRequest::List))?)
     }
 }
 
@@ -1001,7 +692,7 @@ fn reader_loop(inner: &Weak<MuxInner>, stream: TcpStream, generation: u64) {
     }
 }
 
-impl dsig_engine::RemoteScorer for PipelinedClient {
+impl dsig_engine::RemoteScorer for ServeClient {
     fn screen_remote(
         &self,
         golden_key: u64,
@@ -1062,7 +753,7 @@ mod tests {
     #[test]
     fn client_screens_over_loopback() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
         let results = client.screen(key, &observed).unwrap();
         assert_eq!(results.len(), 2);
@@ -1080,7 +771,7 @@ mod tests {
     #[test]
     fn unknown_golden_is_reported_with_the_key() {
         let (server, _) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         match client.screen(0xDEAD, &[sig(&[(1, 1.0)])]) {
             Err(ServeError::UnknownGolden(key)) => assert_eq!(key, 0xDEAD),
             other => panic!("expected UnknownGolden, got {other:?}"),
@@ -1092,7 +783,7 @@ mod tests {
     #[test]
     fn empty_batches_round_trip() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         assert!(client.screen(key, &[]).unwrap().is_empty());
     }
 
@@ -1123,20 +814,17 @@ mod tests {
             while let Ok(Some(payload)) = crate::proto::read_frame(&mut reader) {
                 let request = crate::proto::decode_request(&payload).unwrap();
                 let results = handle.screen_vec(request.golden_key, request.signatures).unwrap();
-                crate::proto::write_frame(
-                    &mut writer,
-                    &crate::proto::encode_response(&ScreenResponse::Results(results)),
-                )
-                .unwrap();
+                let mut response = crate::proto::encode_response(&ScreenResponse::Results(results));
+                crate::proto::stamp_request_id(&mut response, crate::proto::peek_request_id(&payload));
+                crate::proto::write_frame(&mut writer, &response).unwrap();
                 std::io::Write::flush(&mut writer).unwrap();
             }
         });
 
-        let mut client = ServeClient::connect(addr).unwrap();
+        let client = ServeClient::connect(addr).unwrap();
         assert_eq!(client.peer_addr(), addr);
-        // The first exchange hits the torn-down connection and must succeed
-        // through the one-shot transparent reconnect; later requests reuse
-        // the live connection.
+        // The first request hits the torn-down connection and must succeed
+        // through the one redial; later requests reuse the live connection.
         let observed = sig(&[(1, 100e-6), (3, 100e-6)]);
         for _ in 0..3 {
             assert_eq!(client.screen_one(key, &observed).unwrap().ndf, 0.0);
@@ -1147,8 +835,10 @@ mod tests {
 
     #[test]
     fn pipelined_client_screens_and_matches_the_blocking_path() {
+        // Many tickets in flight at once must answer exactly what one
+        // blocking call at a time answers.
         let (server, key) = serve();
-        let client = PipelinedClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.peer_addr(), server.local_addr());
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
         // Issue a burst of tickets before waiting on any: all in flight on
@@ -1158,7 +848,7 @@ mod tests {
         for ticket in tickets {
             assert_eq!(client.wait_screen(ticket, observed.len(), key).unwrap(), direct);
         }
-        // Typed blocking wrappers agree too, and clones share the stream.
+        // Blocking calls agree too, and clones share the stream.
         assert_eq!(client.clone().screen(key, &observed).unwrap(), direct);
         assert_eq!(client.screen_one(key, &observed[1]).unwrap(), direct[1]);
         assert!(matches!(
@@ -1234,7 +924,7 @@ mod tests {
             );
         });
 
-        let client = PipelinedClient::connect(addr).unwrap();
+        let client = ServeClient::connect(addr).unwrap();
         let observed = vec![golden.clone()];
         let ticket_a = client.start_screen(key, &observed).unwrap();
         let scores_a = client.wait_screen(ticket_a, 1, key).unwrap();
@@ -1248,30 +938,37 @@ mod tests {
         serve_thread.join().unwrap();
     }
 
-    /// A pending `DSTX` trace drain is **not** idempotent: a reconnect must
-    /// fail it with the connection error instead of re-issuing it.
+    /// Pending drains — `DSTX` traces, `DSFT` fleet traces and `DSEX` events
+    /// — are **not** idempotent: when the connection dies before the answer,
+    /// the blocking call fails with the connection error and the server
+    /// never sees the drain a second time.
     #[test]
     fn pipelined_reconnect_fails_pending_trace_drains_instead_of_resubmitting() {
         use std::net::TcpListener;
 
+        const DRAINS: [&[u8; 4]; 3] = [b"DSTX", b"DSFT", b"DSEX"];
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let serve_thread = std::thread::spawn(move || {
-            // Connection 1: swallow the DSTX frame and hang up.
-            let (first, _) = listener.accept().unwrap();
-            let mut reader = std::io::BufReader::new(first.try_clone().unwrap());
-            let frame = crate::proto::read_frame(&mut reader).unwrap().unwrap();
-            assert_eq!(&frame[..4], b"DSTX");
-            drop(reader);
-            drop(first);
-            // With the drain failed there is nothing left to resubmit, so
-            // the client must not even redial: poll the listener briefly
-            // and reject any second connection.
+            // One connection per drain: swallow its frame and hang up. Each
+            // later call dials afresh (nothing was left to resubmit), and its
+            // first frame is the next drain — never the one just failed.
+            for magic in DRAINS {
+                let (conn, _) = listener.accept().unwrap();
+                let mut reader = std::io::BufReader::new(conn.try_clone().unwrap());
+                let frame = crate::proto::read_frame(&mut reader).unwrap().unwrap();
+                assert_eq!(&frame[..4], magic, "a failed drain must not be resent");
+                drop(reader);
+                drop(conn);
+            }
+            // With the last drain failed there is nothing left to resubmit,
+            // so the client must not even redial: poll the listener briefly
+            // and reject any further connection.
             listener.set_nonblocking(true).unwrap();
             let deadline = std::time::Instant::now() + std::time::Duration::from_millis(300);
             while std::time::Instant::now() < deadline {
                 match listener.accept() {
-                    Ok(_) => panic!("a trace drain must not trigger a redial, let alone a resubmission"),
+                    Ok(_) => panic!("a drain must not trigger a redial, let alone a resubmission"),
                     Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                         std::thread::sleep(std::time::Duration::from_millis(10));
                     }
@@ -1280,8 +977,10 @@ mod tests {
             }
         });
 
-        let client = PipelinedClient::connect(addr).unwrap();
+        let client = ServeClient::connect(addr).unwrap();
         assert!(matches!(client.traces(), Err(ServeError::Io(_))));
+        assert!(matches!(client.fleet_traces(), Err(ServeError::Io(_))));
+        assert!(matches!(client.events(), Err(ServeError::Io(_))));
         drop(client);
         serve_thread.join().unwrap();
     }
@@ -1307,7 +1006,7 @@ mod tests {
             }
         });
 
-        let client = PipelinedClient::connect(addr).unwrap();
+        let client = ServeClient::connect(addr).unwrap();
         let ticket = client.start_screen(1, &[sig(&[(1, 1.0)])]).unwrap();
         match ticket.wait() {
             Err(ServeError::Io(_)) => {}
@@ -1339,7 +1038,7 @@ mod tests {
             std::io::Write::flush(&mut writer).unwrap();
         });
 
-        let client = PipelinedClient::connect(addr).unwrap();
+        let client = ServeClient::connect(addr).unwrap();
         let ticket = client.start_screen(1, &[sig(&[(1, 1.0)])]).unwrap();
         match ticket.wait() {
             Err(ServeError::Dsig(dsig_core::DsigError::Corrupt { context, .. })) => {
@@ -1358,7 +1057,7 @@ mod tests {
     #[test]
     fn metrics_scrape_reports_live_counters_over_tcp() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let before = client.metrics().unwrap();
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
         client.screen(key, &observed).unwrap();
@@ -1385,7 +1084,7 @@ mod tests {
         use dsig_obs::{trace, Tracer};
 
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         let observed = vec![sig(&[(1, 100e-6), (3, 100e-6)]), sig(&[(1, 100e-6), (7, 100e-6)])];
 
         // An unsampled request (no ambient context) must leave no spans.
@@ -1417,7 +1116,7 @@ mod tests {
     #[test]
     fn multi_screen_and_admin_ops_round_trip_over_tcp() {
         let (server, key) = serve();
-        let mut client = ServeClient::connect(server.local_addr()).unwrap();
+        let client = ServeClient::connect(server.local_addr()).unwrap();
         // Push a second golden, read it back, and screen against both.
         let band = AcceptanceBand::new(0.02).unwrap();
         let second = sig(&[(2, 100e-6), (4, 100e-6)]);

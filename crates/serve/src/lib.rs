@@ -14,16 +14,18 @@
 //!   fingerprint ([`dsig_engine::golden_fingerprint`]), held in memory for
 //!   scoring and persisted in a versioned binary format;
 //! * [`Server`] / [`ServeConfig`] — a `std::net::TcpListener` accept loop
-//!   dispatching to N scoring shards over channels; batches are chunked
-//!   across shards and reassembled in order, so results are bit-identical
-//!   for every shard count;
-//! * [`ServeHandle`] — the in-process client path (same shards, no TCP) for
+//!   serving every connection on one [`WorkPool`]; large batches are
+//!   chunked across the same pool's workers and reassembled in order, so
+//!   results are bit-identical for every worker count;
+//! * [`ServeHandle`] — the in-process client path (same pool, no TCP) for
 //!   embedding the scorer into another process;
-//! * [`ServeClient`] — the blocking TCP client with batch screening;
-//! * [`PipelinedClient`] — the multiplexed TCP client: N requests in
-//!   flight on one connection, responses matched by request id;
-//! * [`mux`] — the shared [`WorkPool`] + connection event loop that serves
-//!   tagged frames out of order;
+//! * [`ServeClient`] — the TCP client: N requests in flight on one
+//!   connection, responses matched by request id; a blocking call is one
+//!   request plus a wait on its answer;
+//! * [`api`] — the [`Screen`], [`ObsScrape`] and [`FleetAdmin`] traits
+//!   every client and handle implements;
+//! * [`mux`] — the [`WorkPool`] + connection event loop that serves tagged
+//!   frames out of order;
 //! * [`proto`] — the std-only wire protocol (layout below).
 //!
 //! # Wire format
@@ -96,7 +98,7 @@
 //! use std::sync::Arc;
 //! use cut_filters::BiquadParams;
 //! use dsig_core::{AcceptanceBand, TestSetup};
-//! use dsig_serve::{GoldenStore, ServeClient, ServeConfig, Server};
+//! use dsig_serve::{GoldenStore, Screen, ServeClient, ServeConfig, Server};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let setup = TestSetup::paper_default()?.with_sample_rate(1e6)?;
@@ -106,12 +108,12 @@
 //! let store = Arc::new(GoldenStore::new());
 //! let key = store.characterize(&setup, &reference, AcceptanceBand::new(0.03)?)?;
 //!
-//! // Serving: ephemeral loopback port, default shard count.
+//! // Serving: ephemeral loopback port, default worker count.
 //! let server = Server::bind("127.0.0.1:0", store, ServeConfig::default())?;
 //!
 //! // Production test: capture a signature from a device, upload, decide.
 //! let observed = setup.signature_of(&reference.with_f0_shift_pct(10.0), 7)?;
-//! let mut client = ServeClient::connect(server.local_addr())?;
+//! let client = ServeClient::connect(server.local_addr())?;
 //! let score = client.screen_one(key, &observed)?;
 //! assert!(score.ndf > 0.0);
 //! # Ok(())
@@ -129,7 +131,7 @@ pub mod server;
 pub mod store;
 
 pub use api::{FleetAdmin, ObsScrape, Screen};
-pub use client::{PipelinedClient, ServeClient, Ticket};
+pub use client::{ServeClient, Ticket};
 pub use error::{Result, ServeError};
 pub use mux::WorkPool;
 pub use proto::{

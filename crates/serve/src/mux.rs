@@ -27,8 +27,10 @@
 //! that pipelines requests without ever reading answers holds a bounded
 //! amount of server memory. Pool workers stamp the request's id into the
 //! response ([`crate::proto::stamp_request_id`]) and hand it to the owning
-//! connection's writer; completion order is whatever the shards finish
-//! first, which is the whole point.
+//! connection's writer; completion order is whatever the pool finishes
+//! first, which is the whole point. The same pool also scores the chunks of
+//! large batches (see [`crate::ServeHandle::screen`]), so a serving process
+//! has exactly one executor.
 
 use std::collections::VecDeque;
 use std::io::Write;
@@ -124,8 +126,15 @@ impl Drop for WorkPool {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
         self.inner.available.notify_all();
+        // A job may hold the last reference to its own pool (a serving
+        // handle captured by a scoring job), so the drop can run on one of
+        // the workers. A thread cannot join itself: that worker is left
+        // detached and exits when the job returns.
+        let current = std::thread::current().id();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            if worker.thread().id() != current {
+                let _ = worker.join();
+            }
         }
     }
 }

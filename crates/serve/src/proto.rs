@@ -45,7 +45,7 @@ pub const RETEST_REQUEST_MAGIC: [u8; 4] = *b"DSRT";
 /// `DSRS`-style score list extended with per-device retest metadata.
 pub const RETEST_RESPONSE_MAGIC: [u8; 4] = *b"DSRR";
 /// Magic prefix of metrics-scrape request payloads (`DSMX`): a header-only
-/// frame asking the answering process — serving shard host or router — for a
+/// frame asking the answering process — scoring server or router — for a
 /// snapshot of its live metrics registry.
 pub const METRICS_REQUEST_MAGIC: [u8; 4] = *b"DSMX";
 /// Magic prefix of metrics-scrape response payloads (`DSMR`) — one
@@ -208,7 +208,7 @@ pub struct RetestItem {
 /// A decoded adaptive-retest screening request (`DSRT`): score each device's
 /// single shot against the golden under `golden_key`, and re-decide marginal
 /// ones from averaged repeats through the carried [`RetestPolicy`] —
-/// **server-side**, before any verdict leaves the shard.
+/// **server-side**, before any verdict leaves the scoring process.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetestRequest {
     /// Fingerprint of the golden to score against.

@@ -1,28 +1,30 @@
-//! The sharded scoring server: a `std::net::TcpListener` accept loop
-//! dispatching batches to N scoring shards over channels, plus the in-process
-//! [`ServeHandle`] client path that bypasses TCP entirely for embedded use.
+//! The scoring server: a `std::net::TcpListener` accept loop serving every
+//! connection on one [`WorkPool`], plus the in-process [`ServeHandle`] client
+//! path that bypasses TCP entirely for embedded use.
 //!
 //! # Architecture
 //!
 //! ```text
-//!                    ┌──────────────┐   ScoreJob    ┌─────────┐
-//!  TCP conn ──────▶ │  connection   │ ────────────▶ │ shard 0 │
-//!  TCP conn ──────▶ │  threads      │ ────────────▶ │ shard 1 │
-//!                    │ (frame codec) │ ────────────▶ │   ...   │
-//!  ServeHandle ───▶ │  + dispatch   │ ◀──────────── │ shard N │
-//!                    └──────────────┘  chunk replies └─────────┘
+//!                    ┌──────────────┐   requests    ┌─────────────────┐
+//!  TCP conn ──────▶ │  connection   │ ────────────▶ │ WorkPool        │
+//!  TCP conn ──────▶ │  threads      │               │ (`shards` wkrs) │
+//!                    │ (frame codec) │ ◀──────────── │  chunk helpers  │
+//!  ServeHandle ───▶ │               │   responses   │                 │
+//!                    └──────────────┘               └─────────────────┘
 //! ```
 //!
-//! Each request's signature batch is split into fixed-size chunks fanned out
-//! round-robin over the shards, and chunk replies are reassembled in request
-//! order — so one large batch parallelizes across every shard while scoring
-//! stays bit-identical to a serial loop (scoring is a pure function of
-//! `(golden, observed)`; shard count and dispatch order cannot change it).
+//! A batch larger than one chunk is split into fixed-size chunks behind one
+//! claim cursor: the requesting thread and up to `workers − 1` helper jobs
+//! on the same pool each claim the next unscored chunk, and the chunks are
+//! reassembled in request order — so one large batch parallelizes across
+//! the pool while scoring stays bit-identical to a serial loop (scoring is
+//! a pure function of `(golden, observed)`; worker count and claim order
+//! cannot change it).
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 use dsig_core::{ndf, peak_hamming_distance, AcceptanceBand, DsigError, RetestPolicy, Signature};
@@ -46,32 +48,31 @@ use crate::store::{GoldenRecord, GoldenStore};
 /// Tuning knobs of a [`Server`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of scoring shards (worker threads). Defaults to the hardware
-    /// thread count.
+    /// Number of [`WorkPool`] workers: the process's request concurrency and
+    /// the parallelism of one large batch. Defaults to the hardware thread
+    /// count.
     pub shards: usize,
-    /// Signatures per chunk handed to one shard. Small chunks spread a batch
-    /// wider; large chunks cut channel traffic. Defaults to 64.
-    pub shard_chunk: usize,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             shards: available_threads(),
-            shard_chunk: 64,
         }
     }
 }
 
 impl ServeConfig {
-    /// A config with an explicit shard count and the default chunk size.
+    /// A config with an explicit worker count.
     pub fn with_shards(shards: usize) -> Self {
-        ServeConfig {
-            shards: shards.max(1),
-            ..Self::default()
-        }
+        ServeConfig { shards: shards.max(1) }
     }
 }
+
+/// Signatures per chunk of a batch: a batch up to this size is scored on the
+/// calling thread; a larger one is split into chunks of this size that the
+/// pool's workers claim.
+const SHARD_CHUNK: usize = 64;
 
 /// The serving tier's metric handles, resolved once per [`ServeHandle`]
 /// fleet so the hot path never touches the registry lock. All names live
@@ -84,9 +85,11 @@ struct ServeMetrics {
     errors: PerFamily,
     /// `serve.errors.decode` — frames whose payload failed to decode.
     decode_errors: Arc<Counter>,
-    /// `serve.dispatch_us` — time to fan one batch out to the shards.
+    /// `serve.dispatch_us` — time to hand one batch's helper jobs to the
+    /// pool.
     dispatch_us: Arc<Histogram>,
-    /// `serve.reassembly_us` — time from last chunk sent to batch reassembled.
+    /// `serve.reassembly_us` — time from the helpers' hand-off to the batch
+    /// scored and reassembled.
     reassembly_us: Arc<Histogram>,
     /// `serve.bytes_in` / `serve.bytes_out` — framed TCP payload traffic.
     bytes_in: Arc<Counter>,
@@ -201,20 +204,6 @@ pub fn health_sample(snapshot: &MetricsSnapshot, prefix: &str, backed_off: u32, 
     }
 }
 
-/// One chunk of scoring work handed to a shard. The batch itself is shared
-/// (`Arc`), so fanning a request across shards moves no signature data.
-struct ScoreJob {
-    record: Arc<GoldenRecord>,
-    batch: Arc<[Signature]>,
-    /// The chunk of the batch this job scores; its start doubles as the
-    /// reassembly key.
-    range: std::ops::Range<usize>,
-    /// Trace context of the request this chunk belongs to — the shard
-    /// thread parents its `serve.shard` span under it.
-    ctx: TraceContext,
-    reply: mpsc::Sender<(usize, std::result::Result<Vec<ScoreResult>, DsigError>)>,
-}
-
 /// Scores one observed signature against a golden record.
 fn score(record: &GoldenRecord, observed: &Signature) -> std::result::Result<ScoreResult, DsigError> {
     let ndf_value = ndf(&record.golden, observed)?;
@@ -225,64 +214,108 @@ fn score(record: &GoldenRecord, observed: &Signature) -> std::result::Result<Sco
     })
 }
 
-fn shard_loop(jobs: mpsc::Receiver<ScoreJob>, scored: Arc<AtomicU64>, scored_metric: Arc<Counter>, tracer: Tracer) {
-    while let Ok(job) = jobs.recv() {
-        let mut shard_span = tracer.span("serve.shard", "serve", job.ctx);
-        shard_span.annotate("chunk_start", job.range.start);
-        shard_span.annotate("items", job.range.len());
-        let items = &job.batch[job.range.clone()];
-        let result: std::result::Result<Vec<ScoreResult>, DsigError> =
-            items.iter().map(|observed| score(&job.record, observed)).collect();
-        if result.is_ok() {
-            scored.fetch_add(items.len() as u64, Ordering::Relaxed);
-            scored_metric.add(items.len() as u64);
+/// A batch split into [`SHARD_CHUNK`]-sized chunks behind one atomic claim
+/// cursor (the idiom of `dsig_engine::pool::parallel_map_indexed`). The
+/// requesting thread and its pool helpers each claim the next unscored chunk
+/// until none is left; a chunk is only ever waited on once a running thread
+/// has claimed it, so no request waits on a queued job.
+struct Chunked {
+    record: Arc<GoldenRecord>,
+    batch: Vec<Signature>,
+    /// Trace context of the request — every chunk's `serve.shard` span
+    /// parents under it, whichever thread scores the chunk.
+    ctx: TraceContext,
+    /// Index of the next chunk to claim.
+    next: AtomicUsize,
+    /// Per-chunk results in request order; `None` until the chunk resolves.
+    parts: Mutex<Vec<ChunkResult>>,
+    resolved: Condvar,
+}
+
+/// One chunk's scores, once resolved.
+type ChunkResult = Option<Result<Vec<ScoreResult>>>;
+
+impl Chunked {
+    fn chunks(&self) -> usize {
+        self.batch.len().div_ceil(SHARD_CHUNK)
+    }
+
+    /// Claims and scores chunks until every chunk is claimed.
+    fn drain(&self, handle: &ServeHandle) {
+        loop {
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            if index >= self.chunks() {
+                return;
+            }
+            // Resolves the chunk even if scoring panics, so the caller
+            // waiting on it never hangs.
+            let mut claim = Claim {
+                chunked: self,
+                index,
+                result: None,
+            };
+            let start = index * SHARD_CHUNK;
+            let items = &self.batch[start..(start + SHARD_CHUNK).min(self.batch.len())];
+            claim.result = Some(handle.score_chunk(&self.record, items, start, self.ctx));
         }
-        // Recorded before the reply is sent so a scrape issued right after
-        // the response cannot miss the shard span.
-        drop(shard_span);
-        // A send failure means the requester gave up (disconnected client);
-        // the work is simply dropped.
-        let _ = job.reply.send((job.range.start, result));
+    }
+
+    /// Blocks until every chunk has resolved, then concatenates them in
+    /// request order; the first failed chunk fails the batch.
+    fn wait(&self) -> Result<Vec<ScoreResult>> {
+        let mut parts = self.parts.lock().expect("chunk results poisoned");
+        while parts.iter().any(Option::is_none) {
+            parts = self.resolved.wait(parts).expect("chunk results poisoned");
+        }
+        let mut results = Vec::with_capacity(self.batch.len());
+        for part in parts.iter_mut() {
+            results.extend(part.take().expect("every chunk resolved")?);
+        }
+        Ok(results)
     }
 }
 
-/// An in-process client of the scoring shards: the same dispatch path the
-/// TCP connection threads use, without any socket or framing cost. Cloning a
+/// One claimed chunk. Dropping it publishes the chunk's result — or
+/// [`ServeError::Closed`] if the scorer panicked before producing one.
+struct Claim<'a> {
+    chunked: &'a Chunked,
+    index: usize,
+    result: Option<Result<Vec<ScoreResult>>>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        let result = self.result.take().unwrap_or(Err(ServeError::Closed));
+        let mut parts = self.chunked.parts.lock().unwrap_or_else(|e| e.into_inner());
+        parts[self.index] = Some(result);
+        if parts.iter().all(Option::is_some) {
+            self.chunked.resolved.notify_all();
+        }
+    }
+}
+
+/// An in-process client of the scoring pool: the same scoring path the TCP
+/// connection threads use, without any socket or framing cost. Cloning a
 /// handle is cheap; each clone can be used from its own thread.
+#[derive(Clone)]
 pub struct ServeHandle {
-    shards: Vec<mpsc::Sender<ScoreJob>>,
-    cursor: Arc<AtomicUsize>,
+    pool: Arc<WorkPool>,
     store: Arc<GoldenStore>,
-    chunk: usize,
     scored: Arc<AtomicU64>,
     registry: Registry,
     tracer: Tracer,
     metrics: Arc<ServeMetrics>,
 }
 
-impl Clone for ServeHandle {
-    fn clone(&self) -> Self {
-        ServeHandle {
-            shards: self.shards.clone(),
-            cursor: Arc::clone(&self.cursor),
-            store: Arc::clone(&self.store),
-            chunk: self.chunk,
-            scored: Arc::clone(&self.scored),
-            registry: self.registry.clone(),
-            tracer: self.tracer.clone(),
-            metrics: Arc::clone(&self.metrics),
-        }
-    }
-}
-
 impl ServeHandle {
-    /// Spawns a set of scoring shards over a store and returns a handle to
-    /// them — the TCP-free way to embed a scoring backend in another process
-    /// (the router tier builds its in-process backends this way; a
-    /// [`Server`] is this plus a listener).
+    /// Spawns a scoring pool of [`ServeConfig::shards`] workers over a store
+    /// and returns a handle to it — the TCP-free way to embed a scoring
+    /// backend in another process (the router tier builds its in-process
+    /// backends this way; a [`Server`] is this plus a listener serving its
+    /// connections on the same pool).
     ///
-    /// Shard threads are detached and exit once the last clone of the
-    /// returned handle is dropped.
+    /// The pool's workers exit once the last clone of the returned handle
+    /// is dropped.
     ///
     /// Metrics register in the process-wide [`Registry::global`]; use
     /// [`ServeHandle::spawn_in`] to register elsewhere.
@@ -290,32 +323,17 @@ impl ServeHandle {
         ServeHandle::spawn_in(store, config, Registry::global())
     }
 
-    /// Like [`ServeHandle::spawn`], registering the fleet's metrics in
+    /// Like [`ServeHandle::spawn`], registering the handle's metrics in
     /// `registry` instead of the process-wide one (test isolation, or one
     /// registry per embedded fleet).
     pub fn spawn_in(store: Arc<GoldenStore>, config: ServeConfig, registry: Registry) -> ServeHandle {
-        let metrics = Arc::new(ServeMetrics::new(&registry));
-        let tracer = registry.tracer().clone();
-        let scored = Arc::new(AtomicU64::new(0));
-        let mut shards = Vec::with_capacity(config.shards.max(1));
-        for _ in 0..config.shards.max(1) {
-            let (jobs, receiver) = mpsc::channel();
-            let counter = Arc::clone(&scored);
-            let scored_metric = Arc::clone(&metrics.scored);
-            let shard_tracer = tracer.clone();
-            // Shards are detached: they exit when the last job sender drops.
-            std::thread::spawn(move || shard_loop(receiver, counter, scored_metric, shard_tracer));
-            shards.push(jobs);
-        }
         ServeHandle {
-            shards,
-            cursor: Arc::new(AtomicUsize::new(0)),
+            pool: Arc::new(WorkPool::new(config.shards)),
             store,
-            chunk: config.shard_chunk.max(1),
-            scored,
+            scored: Arc::new(AtomicU64::new(0)),
+            tracer: registry.tracer().clone(),
+            metrics: Arc::new(ServeMetrics::new(&registry)),
             registry,
-            tracer,
-            metrics,
         }
     }
 
@@ -356,7 +374,7 @@ impl ServeHandle {
         policy.evaluate(health_sample(&self.metrics(), "", 0, 1))
     }
 
-    /// Total signatures scored successfully through this handle's shards
+    /// Total signatures scored successfully through this handle's pool
     /// (shared with every clone and with the owning [`Server`], if any).
     pub fn signatures_scored(&self) -> u64 {
         self.scored.load(Ordering::Relaxed)
@@ -378,7 +396,7 @@ impl ServeHandle {
     }
 
     /// Scores a batch where **each signature names its own golden**: items
-    /// are grouped by fingerprint, each group is screened through the shards
+    /// are grouped by fingerprint, each group is screened through the pool
     /// like a [`ServeHandle::screen`] batch, and results return in request
     /// order — bit-identical to screening the groups separately.
     ///
@@ -399,7 +417,7 @@ impl ServeHandle {
 
     /// Screens an adaptive-retest batch: every device's single-shot
     /// signature **and** its pre-captured measurement repeats are scored
-    /// through the shards in one flattened batch, then the pure escalation
+    /// through the pool in one flattened batch, then the pure escalation
     /// walk of [`dsig_core::RetestPolicy::escalate`] re-decides marginal
     /// devices from averaged repeats — server-side, before any verdict is
     /// answered. Returns one [`RetestScore`] per device in request order.
@@ -425,7 +443,7 @@ impl ServeHandle {
 
     /// Like [`ServeHandle::screen_retest`], taking ownership of the request —
     /// the zero-copy path the connection threads use (the decoded signatures
-    /// move straight into the shard batch, never cloned).
+    /// move straight into the scored batch, never cloned).
     ///
     /// # Errors
     /// As for [`ServeHandle::screen_retest`].
@@ -440,7 +458,7 @@ impl ServeHandle {
     }
 
     /// The shared retest core: score the flattened `initial + repeats` batch
-    /// through the shards (the exact scoring pipeline of plain screening),
+    /// through the pool (the exact scoring pipeline of plain screening),
     /// then run the pure escalation walk per device.
     fn screen_retest_flat(
         &self,
@@ -493,13 +511,14 @@ impl ServeHandle {
     /// Scores a batch of observed signatures against the golden stored under
     /// `golden_key`, returning one [`ScoreResult`] per signature in order.
     ///
-    /// The batch is chunked across the scoring shards and reassembled, so a
-    /// large batch uses every shard; results are bit-identical for any shard
-    /// count and chunk size.
+    /// A batch larger than one chunk is scored by the calling thread and
+    /// helper jobs on the handle's [`WorkPool`], then reassembled, so a large
+    /// batch uses every worker; results are bit-identical for any worker
+    /// count.
     ///
     /// # Errors
     /// Returns [`ServeError::UnknownGolden`] for an unknown fingerprint,
-    /// [`ServeError::Closed`] if the shards have shut down, and
+    /// [`ServeError::Closed`] if a helper died scoring its chunk, and
     /// [`ServeError::Dsig`] if any signature fails to score.
     pub fn screen(&self, golden_key: u64, signatures: &[Signature]) -> Result<Vec<ScoreResult>> {
         self.screen_vec(golden_key, signatures.to_vec())
@@ -507,7 +526,7 @@ impl ServeHandle {
 
     /// Like [`ServeHandle::screen`], taking ownership of the batch — the
     /// zero-copy path the connection threads use (the decoded request batch
-    /// is shared with the shards via one `Arc`, never cloned).
+    /// is shared with the helper jobs via one `Arc`, never cloned).
     ///
     /// # Errors
     /// As for [`ServeHandle::screen`].
@@ -519,80 +538,81 @@ impl ServeHandle {
         self.screen_record(record, signatures)
     }
 
-    /// The shard-dispatch core behind [`ServeHandle::screen_vec`] and the
-    /// retest path, taking an already-resolved golden record (one store
-    /// lookup per request, however the caller obtained the record).
+    /// The scoring core behind [`ServeHandle::screen_vec`] and the retest
+    /// path, taking an already-resolved golden record (one store lookup per
+    /// request, however the caller obtained the record).
     fn screen_record(&self, record: Arc<GoldenRecord>, signatures: Vec<Signature>) -> Result<Vec<ScoreResult>> {
         if signatures.is_empty() {
             return Ok(Vec::new());
         }
-        let batch: Arc<[Signature]> = signatures.into();
         let inbound = trace::current_context();
-        if batch.len() <= self.chunk {
+        let chunks = signatures.len().div_ceil(SHARD_CHUNK);
+        if chunks == 1 {
             // A batch that fits one chunk is scored on the calling thread:
-            // the shard round trip (channel, wake-up, reply) only pays for
-            // itself when there are chunks to run in parallel. Spans and
-            // metrics are identical to the dispatched path with one chunk.
+            // a helper job only pays for itself when there are chunks to run
+            // in parallel. Spans and metrics are identical to the chunked
+            // path with one chunk.
             {
                 let mut dispatch_span = self.tracer.span("serve.dispatch", "serve", inbound);
                 let _dispatch = Span::enter(&self.metrics.dispatch_us);
                 dispatch_span.annotate("chunks", 1usize);
-                dispatch_span.annotate("batch", batch.len());
+                dispatch_span.annotate("batch", signatures.len());
             }
-            let result = {
-                let mut shard_span = self.tracer.span("serve.shard", "serve", inbound);
-                shard_span.annotate("chunk_start", 0usize);
-                shard_span.annotate("items", batch.len());
-                let scored: std::result::Result<Vec<ScoreResult>, DsigError> =
-                    batch.iter().map(|observed| score(&record, observed)).collect();
-                if scored.is_ok() {
-                    self.scored.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    self.metrics.scored.add(batch.len() as u64);
-                }
-                scored
-            };
+            let result = self.score_chunk(&record, &signatures, 0, inbound);
             let mut reassembly_span = self.tracer.span("serve.reassembly", "serve", inbound);
             reassembly_span.annotate("chunks", 1usize);
             let _reassembly = Span::enter(&self.metrics.reassembly_us);
-            return Ok(result?);
+            return result;
         }
-        let (reply, replies) = mpsc::channel();
-        let mut chunks = 0usize;
+        let batch = signatures.len();
+        let chunked = Arc::new(Chunked {
+            record,
+            batch: signatures,
+            ctx: inbound,
+            next: AtomicUsize::new(0),
+            parts: Mutex::new((0..chunks).map(|_| None).collect()),
+            resolved: Condvar::new(),
+        });
         {
             let mut dispatch_span = self.tracer.span("serve.dispatch", "serve", inbound);
             let _dispatch = Span::enter(&self.metrics.dispatch_us);
-            for start in (0..batch.len()).step_by(self.chunk) {
-                let end = (start + self.chunk).min(batch.len());
-                let shard = self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                self.shards[shard]
-                    .send(ScoreJob {
-                        record: Arc::clone(&record),
-                        batch: Arc::clone(&batch),
-                        range: start..end,
-                        ctx: inbound,
-                        reply: reply.clone(),
-                    })
-                    .map_err(|_| ServeError::Closed)?;
-                chunks += 1;
+            // The caller scores chunks too, so `workers − 1` helpers occupy
+            // the whole pool; a helper that starts after the caller claimed
+            // the last chunk returns at once.
+            for _ in 0..(self.pool.workers() - 1).min(chunks - 1) {
+                let chunked = Arc::clone(&chunked);
+                let handle = self.clone();
+                self.pool.submit(Box::new(move || chunked.drain(&handle)));
             }
             dispatch_span.annotate("chunks", chunks);
-            dispatch_span.annotate("batch", batch.len());
+            dispatch_span.annotate("batch", batch);
         }
-        drop(reply);
         let mut reassembly_span = self.tracer.span("serve.reassembly", "serve", inbound);
         reassembly_span.annotate("chunks", chunks);
         let _reassembly = Span::enter(&self.metrics.reassembly_us);
-        let mut parts = Vec::with_capacity(chunks);
-        for _ in 0..chunks {
-            let part = replies.recv().map_err(|_| ServeError::Closed)?;
-            parts.push(part);
-        }
-        parts.sort_unstable_by_key(|&(start, _)| start);
-        let mut results = Vec::with_capacity(batch.len());
-        for (_, part) in parts {
-            results.extend(part?);
-        }
-        Ok(results)
+        chunked.drain(self);
+        chunked.wait()
+    }
+
+    /// Scores one chunk of a batch on the calling thread, under a
+    /// `serve.shard` span parented to the request's trace context.
+    fn score_chunk(
+        &self,
+        record: &GoldenRecord,
+        items: &[Signature],
+        start: usize,
+        ctx: TraceContext,
+    ) -> Result<Vec<ScoreResult>> {
+        let mut shard_span = self.tracer.span("serve.shard", "serve", ctx);
+        shard_span.annotate("chunk_start", start);
+        shard_span.annotate("items", items.len());
+        let scored = items
+            .iter()
+            .map(|observed| score(record, observed))
+            .collect::<std::result::Result<Vec<_>, DsigError>>()?;
+        self.scored.fetch_add(items.len() as u64, Ordering::Relaxed);
+        self.metrics.scored.add(items.len() as u64);
+        Ok(scored)
     }
 
     /// Scores a single signature (a one-element [`ServeHandle::screen`]).
@@ -604,11 +624,11 @@ impl ServeHandle {
     }
 }
 
-/// The scoring server: shard workers plus a TCP accept loop.
+/// The scoring server: one [`WorkPool`] plus a TCP accept loop.
 ///
 /// Dropping (or [`Server::shutdown`]-ing) the server stops accepting new
-/// connections; shard workers exit once the last [`ServeHandle`] — including
-/// the handles held by still-open connections — is gone.
+/// connections; the pool's workers exit once the last [`ServeHandle`] —
+/// including the handles held by still-open connections — is gone.
 pub struct Server {
     local_addr: SocketAddr,
     handle: ServeHandle,
@@ -618,7 +638,7 @@ pub struct Server {
 
 impl Server {
     /// Binds a listener (use port 0 for an ephemeral port), spawns the
-    /// scoring shards and the accept loop, and starts serving.
+    /// scoring pool and the accept loop, and starts serving.
     ///
     /// Metrics register in the process-wide [`Registry::global`]; use
     /// [`Server::bind_in`] to register elsewhere.
@@ -649,10 +669,6 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept_handle = handle.clone();
         let accept_shutdown = Arc::clone(&shutdown);
-        // One request-processing pool shared by every connection: request
-        // concurrency scales with cores, not with connection count, so one
-        // listener fans out to thousands of pipelined clients.
-        let pool = Arc::new(WorkPool::new(available_threads()));
         let accept_thread = std::thread::spawn(move || {
             for stream in listener.incoming() {
                 if accept_shutdown.load(Ordering::SeqCst) {
@@ -661,10 +677,9 @@ impl Server {
                 match stream {
                     Ok(stream) => {
                         let conn_handle = accept_handle.clone();
-                        let conn_pool = Arc::clone(&pool);
                         // Connection threads are detached; they exit when the
                         // peer closes its end of the stream.
-                        std::thread::spawn(move || handle_connection(stream, conn_handle, conn_pool));
+                        std::thread::spawn(move || handle_connection(stream, conn_handle));
                     }
                     // Back off briefly on accept errors (e.g. EMFILE under
                     // fd exhaustion) instead of busy-spinning the core.
@@ -687,7 +702,7 @@ impl Server {
         self.local_addr
     }
 
-    /// A new in-process handle to the scoring shards.
+    /// A new in-process handle to the scoring pool.
     pub fn handle(&self) -> ServeHandle {
         self.handle.clone()
     }
@@ -852,15 +867,16 @@ fn respond(handle: &ServeHandle, request: Request) -> Vec<u8> {
     }
 }
 
-/// Serves one TCP connection through the shared [`WorkPool`]: frames are
-/// read on this thread, tagged requests run as pool jobs completing out of
-/// order, and a writer thread streams responses back (see
+/// Serves one TCP connection through the handle's [`WorkPool`] — the same
+/// pool that scores large batches' chunks, shared by every connection:
+/// frames are read on this thread, tagged requests run as pool jobs
+/// completing out of order, and a writer thread streams responses back (see
 /// [`mux::drive_connection`]).
-fn handle_connection(stream: TcpStream, handle: ServeHandle, pool: Arc<WorkPool>) {
-    let depth_pool = Arc::clone(&pool);
+fn handle_connection(stream: TcpStream, handle: ServeHandle) {
+    let pool = Arc::clone(&handle.pool);
     let respond_to = Arc::new(move |payload: Vec<u8>| {
         handle.metrics.bytes_in.add(payload.len() as u64 + 4);
-        handle.metrics.queue_depth.set(depth_pool.queued() as f64);
+        handle.metrics.queue_depth.set(handle.pool.queued() as f64);
         let response = {
             // Pin the caller's trace context for the whole request so every
             // span opened while serving it parents under the remote caller
@@ -942,7 +958,9 @@ impl RemoteScorer for ServeHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Screen;
     use dsig_core::{AcceptanceBand, SignatureEntry, TestOutcome, ZoneCode};
+    use std::time::Duration;
 
     fn sig(codes: &[(u32, f64)]) -> Signature {
         Signature::new(
@@ -998,19 +1016,16 @@ mod tests {
     #[test]
     fn batches_are_chunked_across_shards_in_order() {
         let store = store_with_golden(1);
-        let config = ServeConfig {
-            shards: 4,
-            shard_chunk: 3, // force many chunks
-        };
-        let server = Server::bind("127.0.0.1:0", Arc::clone(&store), config).unwrap();
+        let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(4)).unwrap();
         let handle = server.handle();
-        // A batch with a recognizable per-item signature: item k dwells k+1
-        // microseconds in zone 2.
-        let observed: Vec<Signature> = (0..50)
-            .map(|k| sig(&[(1, 100e-6), (2, (k + 1) as f64 * 1e-6)]))
+        // A batch with a recognizable per-item signature: item k dwells
+        // (k+1)/4 microseconds in zone 2. 209 items make three full chunks
+        // and a ragged fourth.
+        let observed: Vec<Signature> = (0..209)
+            .map(|k| sig(&[(1, 100e-6), (2, (k + 1) as f64 * 0.25e-6)]))
             .collect();
         let results = handle.screen(1, &observed).unwrap();
-        assert_eq!(results.len(), 50);
+        assert_eq!(results.len(), 209);
         let record = store.get(1).unwrap();
         for (result, observed) in results.iter().zip(&observed) {
             assert_eq!(result, &direct_score(&record, observed), "order must be preserved");
@@ -1054,16 +1069,13 @@ mod tests {
     fn multi_screen_matches_per_key_screening_in_request_order() {
         let store = store_with_golden(1);
         store.insert(2, sig(&[(2, 100e-6), (4, 100e-6)]), AcceptanceBand::new(0.05).unwrap());
-        let config = ServeConfig {
-            shards: 3,
-            shard_chunk: 2, // force chunking inside each key group
-        };
-        let handle = ServeHandle::spawn(Arc::clone(&store), config);
-        // Interleave the two goldens so grouping must reassemble by index.
-        let items: Vec<(u64, Signature)> = (0..20)
+        let handle = ServeHandle::spawn(Arc::clone(&store), ServeConfig::with_shards(3));
+        // Interleave the two goldens so grouping must reassemble by index;
+        // each key's group of 100 items spans two chunks, the second ragged.
+        let items: Vec<(u64, Signature)> = (0..200)
             .map(|k| {
                 let key = 1 + (k % 2) as u64;
-                (key, sig(&[(1, 100e-6), (2, (k + 1) as f64 * 1e-6)]))
+                (key, sig(&[(1, 100e-6), (2, (k + 1) as f64 * 0.25e-6)]))
             })
             .collect();
         let results = handle.screen_multi(&items).unwrap();
@@ -1085,11 +1097,7 @@ mod tests {
 
         let store = store_with_golden(4);
         let record = store.get(4).unwrap();
-        let config = ServeConfig {
-            shards: 3,
-            shard_chunk: 2, // force chunking across the flattened batch
-        };
-        let handle = ServeHandle::spawn(Arc::clone(&store), config);
+        let handle = ServeHandle::spawn(Arc::clone(&store), ServeConfig::with_shards(3));
         // Three devices: one far inside the band, one marginal whose repeats
         // push it over the threshold (a PASS -> FAIL flip), one marginal and
         // confirmed by its repeats.
@@ -1106,47 +1114,52 @@ mod tests {
         assert!(policy.is_marginal(&record.band, single(&marginal_bad).ndf));
         assert!(policy.is_marginal(&record.band, single(&marginal_ok).ndf));
 
+        // 63 clean single-shot devices put the marginal-bad device's initial
+        // capture last in the first 64-signature chunk of the flattened
+        // batch, so its repeats are scored in the second, ragged chunk.
+        let clean_item = RetestItem {
+            initial: clean.clone(),
+            repeats: vec![],
+        };
+        let mut items = vec![clean_item; 63];
+        items.push(RetestItem {
+            initial: marginal_bad.clone(),
+            repeats: vec![worse.clone(), worse.clone()],
+        });
+        items.push(RetestItem {
+            initial: marginal_ok.clone(),
+            repeats: vec![marginal_ok.clone(), marginal_ok.clone()],
+        });
         let request = RetestRequest {
             golden_key: 4,
             policy: policy.clone(),
-            items: vec![
-                RetestItem {
-                    initial: clean.clone(),
-                    repeats: vec![],
-                },
-                RetestItem {
-                    initial: marginal_bad.clone(),
-                    repeats: vec![worse.clone(), worse.clone()],
-                },
-                RetestItem {
-                    initial: marginal_ok.clone(),
-                    repeats: vec![marginal_ok.clone(), marginal_ok.clone()],
-                },
-            ],
+            items,
         };
         let results = handle.screen_retest(&request).unwrap();
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 65);
         // Non-marginal: the single-shot score passes through untouched.
-        assert_eq!(results[0].score, single(&clean));
-        assert!(!results[0].marginal);
-        assert_eq!(results[0].repeats_used, 0);
+        for result in &results[..63] {
+            assert_eq!(result.score, single(&clean));
+            assert!(!result.marginal);
+            assert_eq!(result.repeats_used, 0);
+        }
         // Marginal with failing repeats: averaged NDF, folded peak, FAIL.
         let expected_ndf = (single(&worse).ndf + single(&worse).ndf) / 2.0;
-        assert_eq!(results[1].score.ndf.to_bits(), expected_ndf.to_bits());
-        assert_eq!(results[1].score.outcome, record.band.decide(expected_ndf));
+        assert_eq!(results[63].score.ndf.to_bits(), expected_ndf.to_bits());
+        assert_eq!(results[63].score.outcome, record.band.decide(expected_ndf));
         assert_eq!(
-            results[1].score.peak_hamming,
+            results[63].score.peak_hamming,
             single(&marginal_bad).peak_hamming.max(single(&worse).peak_hamming)
         );
-        assert_eq!(results[1].repeats_used, 2);
-        assert!(results[1].marginal);
+        assert_eq!(results[63].repeats_used, 2);
+        assert!(results[63].marginal);
         // Confirmed marginal device: same outcome as the single shot.
-        assert!(results[2].marginal);
-        assert_eq!(results[2].score.outcome, single(&marginal_ok).outcome);
+        assert!(results[64].marginal);
+        assert_eq!(results[64].score.outcome, single(&marginal_ok).outcome);
 
         // The TCP path answers the identical scores.
         let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
-        let mut client = crate::client::ServeClient::connect(server.local_addr()).unwrap();
+        let client = crate::client::ServeClient::connect(server.local_addr()).unwrap();
         assert_eq!(client.screen_retest(&request).unwrap(), results);
         // Unknown goldens carry the fingerprint back.
         let unknown = RetestRequest {
@@ -1174,8 +1187,104 @@ mod tests {
                            // either refused or accepted by the OS backlog and never served —
                            // both are fine, the point is that this does not hang or panic.
         let _ = TcpStream::connect(addr);
-        // The in-process path still works: shards live as long as handles do.
+        // The in-process path still works: the pool lives as long as handles do.
         let handle = server.handle();
         assert!(handle.screen(3, &[sig(&[(1, 100e-6), (3, 100e-6)])]).is_ok());
+    }
+
+    /// Every worker ends up a caller waiting on chunks: 4N pipelined
+    /// multi-chunk requests against N workers. Callers only wait on chunks a
+    /// running thread has claimed, so the pool cannot deadlock on its own
+    /// helper jobs — and the scores stay bit-identical to direct scoring.
+    #[test]
+    fn pool_workers_waiting_on_chunks_never_deadlock() {
+        let store = store_with_golden(6);
+        let record = store.get(6).unwrap();
+        // Four chunks per request, the last ragged.
+        let observed: Vec<Signature> = (0..230)
+            .map(|k| sig(&[(1, 100e-6), (2, (k + 1) as f64 * 0.25e-6)]))
+            .collect();
+        let expected: Vec<ScoreResult> = observed.iter().map(|o| direct_score(&record, o)).collect();
+        for workers in [1, 2, 4] {
+            let server = Server::bind("127.0.0.1:0", Arc::clone(&store), ServeConfig::with_shards(workers)).unwrap();
+            let client = crate::ServeClient::connect(server.local_addr()).unwrap();
+            let tickets: Vec<_> = (0..4 * workers)
+                .map(|_| client.start_screen(6, &observed).unwrap())
+                .collect();
+            let (done, finished) = std::sync::mpsc::channel();
+            let waiter = {
+                let client = client.clone();
+                let count = observed.len();
+                std::thread::spawn(move || {
+                    for ticket in tickets {
+                        let _ = done.send(client.wait_screen(ticket, count, 6));
+                    }
+                })
+            };
+            for _ in 0..4 * workers {
+                let scores = finished
+                    .recv_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|_| panic!("{workers} workers: a request never answered"))
+                    .unwrap();
+                assert_eq!(scores.len(), expected.len());
+                for (got, want) in scores.iter().zip(&expected) {
+                    assert_eq!(got.ndf.to_bits(), want.ndf.to_bits(), "{workers} workers");
+                    assert_eq!(got, want, "{workers} workers");
+                }
+            }
+            waiter.join().unwrap();
+        }
+    }
+
+    /// A scoring job holds a handle, and so its pool: when it drops the last
+    /// clone, the pool is dropped on one of its own workers, which must not
+    /// try to join itself.
+    #[test]
+    fn dropping_the_last_handle_inside_a_pool_job_neither_panics_nor_hangs() {
+        let handle = ServeHandle::spawn(store_with_golden(8), ServeConfig::with_shards(2));
+        let pool = Arc::downgrade(&handle.pool);
+        let (go, gate) = std::sync::mpsc::channel::<()>();
+        let (done, finished) = std::sync::mpsc::channel();
+        let job_handle = handle.clone();
+        handle.pool.submit(Box::new(move || {
+            gate.recv().unwrap();
+            drop(job_handle);
+            done.send(()).unwrap();
+        }));
+        drop(handle);
+        go.send(()).unwrap();
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the job dropping the last handle must finish");
+        assert!(pool.upgrade().is_none(), "the pool went with the last handle");
+    }
+
+    /// A chunk whose scorer panics resolves as [`ServeError::Closed`], so the
+    /// caller waiting for the batch gets an error instead of hanging.
+    #[test]
+    fn a_panicking_chunk_resolves_as_closed() {
+        let chunked = Chunked {
+            record: store_with_golden(1).get(1).unwrap(),
+            batch: vec![sig(&[(1, 100e-6)]); SHARD_CHUNK + 1],
+            ctx: TraceContext::NONE,
+            next: AtomicUsize::new(2),
+            parts: Mutex::new(vec![None, None]),
+            resolved: Condvar::new(),
+        };
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _claim = Claim {
+                chunked: &chunked,
+                index: 0,
+                result: None,
+            };
+            panic!("scorer died mid-chunk");
+        }));
+        assert!(died.is_err());
+        drop(Claim {
+            chunked: &chunked,
+            index: 1,
+            result: Some(Ok(Vec::new())),
+        });
+        assert!(matches!(chunked.wait(), Err(ServeError::Closed)));
     }
 }

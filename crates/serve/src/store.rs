@@ -43,7 +43,7 @@ pub struct GoldenRecord {
 /// A thread-safe map of golden fingerprints to [`GoldenRecord`]s with
 /// versioned disk persistence.
 ///
-/// Lookups hand out `Arc`s, so scoring shards hold a golden without blocking
+/// Lookups hand out `Arc`s, so scoring jobs hold a golden without blocking
 /// writers that characterize new goldens concurrently.
 #[derive(Debug, Default)]
 pub struct GoldenStore {

@@ -1,5 +1,5 @@
 //! Production-test serving: characterize a golden into a persistent store,
-//! spawn the sharded scoring server, and screen a Monte-Carlo production lot
+//! spawn the scoring server, and screen a Monte-Carlo production lot
 //! over loopback TCP — verifying that the served decisions are bit-identical
 //! to direct campaign-engine scoring.
 //!
@@ -10,7 +10,7 @@ use std::sync::Arc;
 use analog_signature::dsig::{AcceptanceBand, TestSetup};
 use analog_signature::engine::{Campaign, CampaignRunner, DevicePopulation};
 use analog_signature::filters::BiquadParams;
-use analog_signature::serve::{GoldenStore, ServeClient, ServeConfig, Server};
+use analog_signature::serve::{GoldenStore, Screen, ServeClient, ServeConfig, Server};
 
 const DEVICES: usize = 1000;
 const BATCH: usize = 64;
@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let server = Server::bind("127.0.0.1:0", served_store, ServeConfig::default())?;
     println!("server listening on {}", server.local_addr());
 
-    let mut client = ServeClient::connect(server.local_addr())?;
+    let client = ServeClient::connect(server.local_addr())?;
     let signatures: Vec<_> = log.entries().iter().map(|(_, s)| s.clone()).collect();
     let mut scores = Vec::with_capacity(signatures.len());
     for batch in signatures.chunks(BATCH) {

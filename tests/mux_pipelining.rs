@@ -16,9 +16,9 @@ use analog_signature::dsig::{AcceptanceBand, RetestPolicy, Signature, SignatureE
 use analog_signature::engine::{available_threads, Campaign, CampaignReport, CampaignRunner, DevicePopulation};
 use analog_signature::filters::BiquadParams;
 use analog_signature::obs::trace::{self, TraceContext};
-use analog_signature::router::{Backend, PipelinedRouterClient, Router, RouterClient, RouterConfig, RouterStore};
+use analog_signature::router::{Backend, Router, RouterClient, RouterConfig, RouterStore};
 use analog_signature::serve::{
-    proto, GoldenStore, PipelinedClient, RetestItem, RetestRequest, ServeClient, ServeConfig, Server,
+    proto, GoldenStore, ObsScrape, RetestItem, RetestRequest, Screen, ServeClient, ServeConfig, Server,
 };
 
 const DEVICES: usize = 1000;
@@ -105,7 +105,7 @@ fn hundreds_of_in_flight_requests_on_one_connection_match_the_blocking_path() {
         .collect();
 
     // Ground truth: the blocking one-in-flight client.
-    let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
+    let blocking = ServeClient::connect(server.local_addr()).unwrap();
     let blocking_scores: Vec<_> = lot.signatures[..IN_FLIGHT]
         .iter()
         .map(|s| blocking.screen_one(key, s).unwrap())
@@ -117,7 +117,7 @@ fn hundreds_of_in_flight_requests_on_one_connection_match_the_blocking_path() {
     // responses outstanding on one connection.
     let before = server.metrics();
     let _ = server.handle().traces();
-    let pipelined = PipelinedClient::connect(server.local_addr()).unwrap();
+    let pipelined = ServeClient::connect(server.local_addr()).unwrap();
     let screen_tickets: Vec<_> = lot.signatures[..IN_FLIGHT]
         .iter()
         .enumerate()
@@ -201,7 +201,7 @@ fn scrape_frames_interleave_with_hundreds_of_in_flight_screens() {
     let (store, key) = served_store();
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(4)).unwrap();
 
-    let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
+    let blocking = ServeClient::connect(server.local_addr()).unwrap();
     let reference = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // Put 128 screens in flight, then run the whole observability surface —
@@ -209,7 +209,7 @@ fn scrape_frames_interleave_with_hundreds_of_in_flight_screens() {
     // work drains. The scrapes ride the tagged mux like any other request,
     // so they answer without waiting for the queue ahead of them.
     let before = server.metrics();
-    let pipelined = PipelinedClient::connect(server.local_addr()).unwrap();
+    let pipelined = ServeClient::connect(server.local_addr()).unwrap();
     const WORK: usize = 128;
     let tickets: Vec<_> = (0..WORK)
         .map(|_| {
@@ -272,7 +272,7 @@ fn tagged_responses_complete_out_of_order_and_are_matched_by_id() {
     let (store, key) = served_store();
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
 
-    let mut blocking = ServeClient::connect(server.local_addr()).unwrap();
+    let blocking = ServeClient::connect(server.local_addr()).unwrap();
     let light_score = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // Raw wire: request id 1 carries a 2048-signature batch, ids 2..=65 one
@@ -354,7 +354,7 @@ fn routed_pipelined_campaign_is_bit_identical_at_every_backend_count() {
             .characterize(&lot.setup, &lot.reference, lot.band)
             .unwrap();
 
-        let mut blocking = RouterClient::connect(router.local_addr()).unwrap();
+        let blocking = RouterClient::connect(router.local_addr()).unwrap();
         let mut blocking_scores = Vec::with_capacity(DEVICES);
         for batch in lot.signatures.chunks(BATCH) {
             blocking_scores.extend(blocking.screen(key, batch).unwrap());
@@ -362,7 +362,7 @@ fn routed_pipelined_campaign_is_bit_identical_at_every_backend_count() {
 
         // The pipelined campaign: every batch in flight before any is
         // awaited, all on one downstream connection.
-        let pipelined = PipelinedRouterClient::connect(router.local_addr()).unwrap();
+        let pipelined = RouterClient::connect(router.local_addr()).unwrap();
         let tickets: Vec<_> = lot
             .signatures
             .chunks(BATCH)
@@ -400,7 +400,7 @@ fn pre_tagging_v1_clients_still_round_trip_against_the_upgraded_server() {
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
     let addr = server.local_addr();
 
-    let mut blocking = ServeClient::connect(addr).unwrap();
+    let blocking = ServeClient::connect(addr).unwrap();
     let expected = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // A frame exactly as a pre-tagging binary emits it: version-1 header,
@@ -459,7 +459,7 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
     let addr = server.local_addr();
 
-    let mut blocking = ServeClient::connect(addr).unwrap();
+    let blocking = ServeClient::connect(addr).unwrap();
     let reference_score = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // Chaos peer 1: a slow-loris writer trickling one valid tagged frame a
@@ -508,7 +508,7 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
 
     // Meanwhile the healthy connection pipelines 200 screens; every one
     // must come back promptly and bit-identical despite the chaos peers.
-    let pipelined = PipelinedClient::connect(addr).unwrap();
+    let pipelined = ServeClient::connect(addr).unwrap();
     let tickets: Vec<_> = (0..200)
         .map(|_| {
             pipelined
@@ -528,7 +528,7 @@ fn slow_loris_mid_frame_disconnects_and_garbage_do_not_wedge_other_connections()
 
     // The torn frame and the garbage frame cost the server nothing but a
     // decode error; it still serves new connections.
-    let mut fresh = ServeClient::connect(addr).unwrap();
+    let fresh = ServeClient::connect(addr).unwrap();
     let score = fresh.screen_one(key, &lot.signatures[0]).unwrap();
     assert_eq!(score.ndf.to_bits(), reference_score.ndf.to_bits());
 }
@@ -541,7 +541,7 @@ fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() 
     let server = Server::bind("127.0.0.1:0", store, ServeConfig::with_shards(2)).unwrap();
     let addr = server.local_addr();
 
-    let mut blocking = ServeClient::connect(addr).unwrap();
+    let blocking = ServeClient::connect(addr).unwrap();
     let reference_score = blocking.screen_one(key, &lot.signatures[0]).unwrap();
 
     // The stalled peer: pipelines 256 requests for 256-score responses
@@ -573,7 +573,7 @@ fn a_stalled_reader_with_a_full_write_buffer_does_not_block_other_connections() 
     let healthy = {
         let signature = lot.signatures[0].clone();
         std::thread::spawn(move || {
-            let pipelined = PipelinedClient::connect(addr).unwrap();
+            let pipelined = ServeClient::connect(addr).unwrap();
             let tickets: Vec<_> = (0..64)
                 .map(|_| pipelined.start_screen(key, std::slice::from_ref(&signature)).unwrap())
                 .collect();
